@@ -31,14 +31,13 @@ from .linquot import (
     expansion_order,
     find_lq_order,
     mu,
-    ordering_from_monomials,
     ordering_from_multisets,
     verify_linear_quotients,
 )
 from .monomials import Monomial
 from .orderings import (
     admissible_order,
-    classify_buckets,
+    auto_edge_order,
     compatible_orders,
     efficient_ordering,
     is_admissible,
@@ -48,11 +47,8 @@ from .power_ideals import (
     CapExceeded,
     EdgeIdeal,
     PowerGenerators,
-    duplicate_ideal,
-    edge_factorizations,
     edge_ideal,
     expansion_new_generators,
-    has_edge_factor,
     power_generators,
 )
 

@@ -61,9 +61,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
-
     def vertex_names(self) -> tuple[str, ...]:
         return self.labels if self.labels is not None else tuple(
             f"x{i}" for i in range(self.n)

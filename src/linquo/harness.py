@@ -1,6 +1,6 @@
-"""Experiment harness: small-graph enumeration and scanning, seeded random
-graph generators, the bounded-power premise checker, and the reproduction
-suite behind the ``repro`` subcommand.
+"""Experiment harness: small-graph enumeration and scanning, the
+bounded-power premise checker, and the reproduction suite behind the
+``repro`` subcommand.
 
 Every reported "yes" verdict carries an order that was re-verified before the
 record was written; theorem-implied conclusions are reported in a separate
@@ -9,16 +9,13 @@ field from computed facts.
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb
 
 from . import fixtures
 from .graphs import (
     Graph,
-    complement,
     contains_induced,
     is_cdcc,
     is_chordal,
@@ -36,17 +33,10 @@ from .linquot import (
     find_lq_order,
     verify_linear_quotients,
 )
-from .orderings import (
-    admissible_order,
-    compatible_orders,
-    efficient_ordering,
-    is_admissible,
-    pure_power_edge_sequence,
-)
+from .orderings import auto_edge_order, compatible_orders, efficient_ordering
 from .power_ideals import CapExceeded, DEFAULT_CAP, edge_ideal, power_generators
 
 DEFAULT_BUDGET = 10**6
-DEFAULT_SEED = 20240811
 
 
 def all_labeled_graphs(n: int):
@@ -76,36 +66,6 @@ def nonisomorphic_graphs(n: int):
         if key not in seen:
             seen.add(key)
             yield g
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
-
-
-def random_chordal_graph(n: int, rng: random.Random) -> Graph:
-    """Grow a chordal graph by attaching each vertex to a clique."""
-    edges: list[tuple[int, int]] = []
-    cliques: list[list[int]] = [[0]] if n > 0 else []
-    for v in range(1, n):
-        base = rng.choice(cliques)
-        k = rng.randint(0, len(base))
-        attach = rng.sample(base, k)
-        edges.extend((u, v) for u in attach)
-        cliques.append(attach + [v])
-    return Graph(n, edges)
-
-
-def random_cochordal_graph(n: int, rng: random.Random) -> Graph:
-    return complement(random_chordal_graph(n, rng))
-
-
-def random_gapfree_graph(n: int, rng: random.Random, tries: int = 1000) -> Graph:
-    for _ in range(tries):
-        g = random_graph(n, rng.uniform(0.3, 0.9), rng)
-        if len(g.edges) >= 2 and is_gapfree(g):
-            return g
-    raise RuntimeError("no gapfree graph sampled; widen the parameters")
 
 
 def classify_graph(g: Graph) -> dict:
@@ -172,94 +132,6 @@ def scan_small_graphs(
     return results
 
 
-@dataclass
-class ExperimentSpec:
-    """One strategy run over a power range with an expected outcome."""
-
-    name: str
-    graph: str
-    qs: tuple[int, ...]
-    strategy: str  # efficient | compatible | duplication | expansion | search
-    expect: str = "pass"  # pass | no
-    base_order: str | None = None
-    vertex: int | None = None
-    b_order: tuple[int, ...] | None = None
-    budget: int = DEFAULT_BUDGET
-    cap: int = DEFAULT_CAP
-
-
-def _base_ordering(spec: ExperimentSpec, g: Graph, q: int, cap: int) -> GeneratorOrdering:
-    """Base order at power q: searched directly, or a named square order
-    lifted through the pure-power construction."""
-    if spec.base_order is None:
-        pg = power_generators(edge_ideal(g), q, cap)
-        res = find_lq_order(pg, spec.budget)
-        if not res.found:
-            raise OrderingPreconditionError(
-                f"no base order found for {spec.name} at q={q} ({res.status})"
-            )
-        return res.ordering
-    if q < 2:
-        raise ValueError("named base orders are square orders; q must be >= 2")
-    pg2 = power_generators(edge_ideal(g), 2, cap)
-    base2 = fixtures.resolve_order(spec.base_order, pg2)
-    return base2 if q == 2 else efficient_ordering(base2, q, cap)
-
-
-def run_experiment(spec: ExperimentSpec) -> dict:
-    """Execute the strategy per power, verify outputs, compare to expectation."""
-    g = fixtures.resolve_graph(spec.graph)
-    per_q: dict[int, dict] = {}
-    for q in spec.qs:
-        try:
-            if spec.strategy == "search":
-                per_q[q] = lq_verdict(g, q, spec.budget, spec.cap)
-            elif spec.strategy == "efficient":
-                base = _base_ordering(spec, g, 2, spec.cap)
-                o = efficient_ordering(base, q, spec.cap)
-                rep = verify_linear_quotients(o)
-                per_q[q] = {"verdict": "yes" if rep.passed else "fail", "count": len(o)}
-            elif spec.strategy == "compatible":
-                base = _base_ordering(spec, g, 2, spec.cap)
-                eo = pure_power_edge_sequence(base)
-                if not is_admissible(g, eo):
-                    eo = admissible_order(g)
-                o = compatible_orders(g, eo, base, q, spec.cap)
-                rep = verify_linear_quotients(o)
-                per_q[q] = {"verdict": "yes" if rep.passed else "fail", "count": len(o)}
-            elif spec.strategy == "duplication":
-                if spec.vertex is None:
-                    raise ValueError("duplication strategy needs a vertex")
-                base = _base_ordering(spec, g, q, spec.cap)
-                o = duplication_order(base, spec.vertex, spec.cap)
-                rep = verify_linear_quotients(o)
-                per_q[q] = {"verdict": "yes" if rep.passed else "fail", "count": len(o)}
-            elif spec.strategy == "expansion":
-                if spec.vertex is None:
-                    raise ValueError("expansion strategy needs a vertex")
-                base = _base_ordering(spec, g, q, spec.cap)
-                o = expansion_order(base, spec.vertex, spec.b_order, spec.cap)
-                rep = verify_linear_quotients(o)
-                per_q[q] = {"verdict": "yes" if rep.passed else "fail", "count": len(o)}
-            else:
-                raise ValueError(f"unknown strategy {spec.strategy!r}")
-        except (NotGapfree, OrderingPreconditionError, CapExceeded) as e:
-            per_q[q] = {"verdict": "rejected", "reason": str(e)}
-    if spec.expect == "pass":
-        ok = all(r["verdict"] == "yes" for r in per_q.values())
-    elif spec.expect == "no":
-        ok = all(r["verdict"] == "no" for r in per_q.values())
-    else:
-        ok = False
-    return {
-        "name": spec.name,
-        "strategy": spec.strategy,
-        "expect": spec.expect,
-        "per_q": per_q,
-        "passed": ok,
-    }
-
-
 def check_theorem64_premises(
     g: Graph,
     budget: int = DEFAULT_BUDGET,
@@ -298,12 +170,7 @@ def check_theorem64_premises(
         if not rep2.passed:
             raise OrderingPreconditionError("supplied square order fails verification")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}
-    eo = pure_power_edge_sequence(o2)
-    if not is_admissible(g, eo):
-        eo = admissible_order(g)
-        report["edge_order_source"] = "peel"
-    else:
-        report["edge_order_source"] = "pure-powers"
+    eo, report["edge_order_source"] = auto_edge_order(g, o2)
     report["edge_order"] = list(eo)
     holds = 2
     for q in range(3, q_through + 1):
@@ -348,13 +215,13 @@ def _finish(name: str, checks: list, t0: float) -> dict:
     return {
         "name": name,
         "passed": all(c["ok"] for c in checks),
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
         "checks": checks,
     }
 
 
 def repro_istanbul(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
     _check(checks, "square has 15 generators", pg.count == 15, count=pg.count)
@@ -366,7 +233,7 @@ def repro_istanbul(cap: int = DEFAULT_CAP, **_) -> dict:
 
 
 def repro_pentagon_powers(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
     base = fixtures.builtin_order("istanbul", pg)
@@ -392,7 +259,7 @@ def _coincidence_classes(pg) -> list[list[list[int]]]:
 
 
 def repro_fig2(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     pg = power_generators(edge_ideal(fixtures.fig2()), 2, cap)
     _check(checks, "square has 34 generators", pg.count == 34, count=pg.count)
@@ -412,7 +279,7 @@ def repro_fig2(cap: int = DEFAULT_CAP, **_) -> dict:
 
 
 def repro_fig4(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     pg = power_generators(edge_ideal(fixtures.fig4()), 2, cap)
     _check(checks, "square has 42 generators", pg.count == 42, count=pg.count)
@@ -431,7 +298,7 @@ def repro_fig4(cap: int = DEFAULT_CAP, **_) -> dict:
 
 
 def repro_gamma7(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     g7 = fixtures.gamma7()
     _check(checks, "gamma7 is CDCC", is_cdcc(g7))
@@ -458,7 +325,7 @@ def repro_gamma7(cap: int = DEFAULT_CAP, **_) -> dict:
 
 
 def repro_cdcc6(**_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     hits = sum(1 for g in all_labeled_graphs(6) if is_cdcc(g))
     _check(checks, "no CDCC graph among all 32768 on 6 vertices", hits == 0, hits=hits)
@@ -466,7 +333,7 @@ def repro_cdcc6(**_) -> dict:
 
 
 def repro_expansion(budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     p3 = Graph(3, [(0, 1), (1, 2)], labels=("a", "x", "b"))
     cases = [("path a-x-b at x", p3, 1, (1, 2)), ("fig2 at x", fixtures.fig2(), 4, (2,))]
@@ -499,7 +366,7 @@ def repro_expansion(budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP, **_) -
 
 
 def repro_thm64_c5(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks: list[dict] = []
     g = fixtures.c5()
     pg = power_generators(edge_ideal(g), 2, cap)

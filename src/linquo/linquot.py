@@ -1,4 +1,4 @@
-"""Linear-quotients verification and order construction.
+"""Linear-quotients verification, order search and order transport.
 
 The verification criterion: an ordering u_1 > ... > u_r of equal-degree
 monomials has linear quotients iff for every position t and every earlier i
@@ -6,6 +6,12 @@ with deg(u_i : u_t) > 1 there is an earlier j whose colon u_j : u_t is a
 single variable dividing u_i : u_t.  Verification therefore precomputes, per
 position t, the set of variables arising as degree-one colons against earlier
 generators, then scans all earlier generators; O(r^2 * n) overall.
+
+The verifier and the search work on the exponent matrix
+``PowerGenerators.exps`` directly (the verifier on its rows in the order's
+sequence); the transports map exponent tuples back to generator indices
+through ``PowerGenerators.index``.  ``Monomial`` appears only in witnesses,
+in the colon oracle and in ``GeneratorOrdering.monomials()``.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ class GeneratorOrdering:
     def __len__(self) -> int:
         return len(self.sequence)
 
+    def exps(self) -> np.ndarray:
+        """The base's exponent matrix with its rows in this order."""
+        return self.base.exps[list(self.sequence)]
+
     def monomials(self) -> list[Monomial]:
-        gens = self.base.gens
-        return [gens[i] for i in self.sequence]
+        return [Monomial(row) for row in self.exps().tolist()]
 
     def multisets(self) -> list[tuple[int, ...]]:
         """One representative factorization per generator, in order."""
@@ -83,19 +92,6 @@ def ordering_from_multisets(
     return GeneratorOrdering(pg, tuple(seq), provenance)
 
 
-def ordering_from_monomials(
-    pg: PowerGenerators,
-    monomials: Iterable[Monomial],
-    provenance: str = "given",
-) -> GeneratorOrdering:
-    seq = []
-    for m in monomials:
-        if m not in pg.index:
-            raise ValueError(f"{m} is not a generator")
-        seq.append(pg.index[m])
-    return GeneratorOrdering(pg, tuple(seq), provenance)
-
-
 @dataclass(frozen=True)
 class LqWitness:
     """First failing pair: position t fails against earlier position i."""
@@ -112,10 +108,6 @@ class LqReport:
     per_index_variables: tuple[frozenset[int], ...]
 
 
-def _exponent_matrix(monomials: Sequence[Monomial]) -> np.ndarray:
-    return np.array([m.exps for m in monomials], dtype=np.int64)
-
-
 def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     """Check the ordering against the pairwise colon criterion.
 
@@ -123,11 +115,10 @@ def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     lowest i); verification still finishes collecting the per-position
     variable sets.
     """
-    mons = o.monomials()
-    r = len(mons)
+    r = len(o)
     if r <= 1:
         return LqReport(True, None, (frozenset(),) * r)
-    E = _exponent_matrix(mons)
+    E = o.exps()
     per_index: list[frozenset[int]] = [frozenset()]
     witness: LqWitness | None = None
     for t in range(1, r):
@@ -198,8 +189,8 @@ def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     r = pg.count
     if r == 0:
         return SearchResult("found", GeneratorOrdering(pg, (), "search"), 0, 0)
-    E = _exponent_matrix(pg.gens)
-    supports = [frozenset(m.support()) for m in pg.gens]
+    E = pg.exps
+    supports = [frozenset(np.flatnonzero(row).tolist()) for row in E]
     prefix: list[int] = []
     in_prefix = [False] * r
     prefix_support: set[int] = set()
@@ -276,22 +267,19 @@ def duplication_order(
     recomputed from the duplicated graph, never transformed syntactically.
     """
     pg = o.base
-    ideal = pg.ideal
-    if any(not m.is_squarefree() for m in ideal.gens):
-        raise OrderingPreconditionError("duplication requires a squarefree base ideal")
-    g = ideal.graph
+    g = pg.ideal.graph
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     _require_verified(o, "duplication_order")
     gx = duplicate_vertex(g, x)
     pg_x = power_generators(EdgeIdeal(gx), pg.q, cap)
     y = g.n
-    emitted: list[Monomial] = []
-    for m in o.monomials():
-        m1 = m.extend(gx.n)
-        emitted.append(m1)
-        emitted.extend(expansion_new_generators(m1, x, y))
-    seq = tuple(pg_x.index[m] for m in emitted)
+    emitted: list[tuple[int, ...]] = []
+    for row in o.exps().tolist():
+        row.append(0)
+        emitted.append(tuple(row))
+        emitted.extend(expansion_new_generators(row, x, y))
+    seq = tuple(pg_x.index[row] for row in emitted)
     if sorted(seq) != list(range(pg_x.count)):
         raise AssertionError("duplication insertion did not enumerate all generators")
     return GeneratorOrdering(pg_x, seq, "duplication")
@@ -361,7 +349,7 @@ def expansion_context(
 
 def mu(w: Monomial, ctx: ExpansionContext) -> int:
     """Least i with w / (xy)^i a generator of the duplicated ideal's power s-i."""
-    at = ctx.expanded.index.get(w)
+    at = ctx.expanded.index.get(w.exps)
     if at is None:
         raise ValueError(f"{w} is not a generator of the expanded power")
     return ctx.mu_values[at]
@@ -386,22 +374,23 @@ def expansion_order(
     ctx = expansion_context(g, x, pg.q, b_order, cap)
     prefix = duplication_order(o, x, cap)
     pg_exp = ctx.expanded
-    seq = [pg_exp.index[m] for m in prefix.monomials()]
+    seq = [pg_exp.index[tuple(row)] for row in prefix.exps().tolist()]
     if any(ctx.mu_values[i] != 0 for i in seq):
         raise AssertionError("duplication prefix contains a generator with mu > 0")
 
     xv, yv = ctx.x, ctx.y
+    rows = pg_exp.exps.tolist()
 
     def key(i: int):
-        m = pg_exp.gens[i]
-        dx, dy = m.exps[xv], m.exps[yv]
+        m = rows[i]
+        dx, dy = m[xv], m[yv]
         return (
             ctx.mu_values[i],
             dx + dy,
             abs(dx - dy),
-            tuple(-m.exps[b] for b in ctx.b_order),
+            tuple(-m[b] for b in ctx.b_order),
             -dx,
-            tuple(-e for e in m.exps),
+            tuple(-e for e in m),
         )
 
     suffix = sorted(

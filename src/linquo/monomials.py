@@ -1,13 +1,14 @@
-"""Exponent-vector monomials and the colon/gcd arithmetic used everywhere.
+"""Exponent-vector monomials: the value type of verifier witnesses, of the
+colon oracle and of rendered generators.
 
 A monomial lives in a fixed polynomial ring with ``nvars`` variables and is
 stored as a dense tuple of nonnegative integer exponents.  All arithmetic is
-componentwise; there are no coefficients.
+componentwise; there are no coefficients.  The generators of a power are not
+stored as monomials but as the rows of ``PowerGenerators.exps``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence
 
 
@@ -40,19 +41,9 @@ class Monomial:
         """Indices of variables appearing with positive exponent."""
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
 
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exps)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_ring(other)
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_ring(other)
-        return Monomial(min(a, b) for a, b in zip(self.exps, other.exps))
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other = self / gcd(self, other), componentwise max(a-b, 0)."""
@@ -64,13 +55,6 @@ class Monomial:
         self._check_ring(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Exact division; other must divide self."""
-        self._check_ring(other)
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
-
     def localize(self, keep: Iterable[int]) -> "Monomial":
         """Zero out every exponent outside ``keep``."""
         keep = set(keep)
@@ -78,27 +62,11 @@ class Monomial:
             raise ValueError("localization set outside variable range")
         return Monomial(e if i in keep else 0 for i, e in enumerate(self.exps))
 
-    def extend(self, nvars: int) -> "Monomial":
-        """Reinterpret in a larger ring by appending zero exponents."""
-        if nvars < self.nvars:
-            raise ValueError("cannot shrink variable count")
-        return Monomial(self.exps + (0,) * (nvars - self.nvars))
-
     def _check_ring(self, other: "Monomial") -> None:
         if self.nvars != other.nvars:
             raise ValueError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"
             )
-
-    # Lexicographic order on exponent vectors under the fixed variable order;
-    # used only for deterministic canonical output.
-    def __lt__(self, other: "Monomial") -> bool:
-        self._check_ring(other)
-        return self.exps < other.exps
-
-    def __le__(self, other: "Monomial") -> bool:
-        self._check_ring(other)
-        return self.exps <= other.exps
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -122,59 +90,9 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-def one(nvars: int) -> Monomial:
-    return Monomial((0,) * nvars)
-
-
 def from_vars(nvars: int, vs: Iterable[int]) -> Monomial:
     """Product of the given variables (with multiplicity)."""
     exps = [0] * nvars
     for v in vs:
         exps[v] += 1
-    return Monomial(exps)
-
-
-def product(ms: Iterable[Monomial], nvars: int | None = None) -> Monomial:
-    result = None
-    for m in ms:
-        result = m if result is None else result * m
-    if result is None:
-        if nvars is None:
-            raise ValueError("empty product needs an explicit variable count")
-        return one(nvars)
-    return result
-
-
-_POWER_RE = re.compile(r"^([^\s^*]+)(?:\^(\d+))?$")
-
-
-def parse(text: str, nvars: int, names: Sequence[str] | None = None) -> Monomial:
-    """Parse either rendering: ``a^2*b^2`` or ``[2,2,0,0,0]``.
-
-    Name resolution uses ``names`` when given, otherwise the generic x<i>
-    scheme.  The bare string ``1`` is the unit monomial.
-    """
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"unterminated exponent vector: {text!r}")
-        body = text[1:-1].strip()
-        exps = [int(t) for t in body.split(",")] if body else []
-        if len(exps) != nvars:
-            raise ValueError(f"expected {nvars} exponents, got {len(exps)}")
-        return Monomial(exps)
-    if text == "1":
-        return one(nvars)
-    if names is None:
-        names = [f"x{i}" for i in range(nvars)]
-    index = {name: i for i, name in enumerate(names)}
-    exps = [0] * nvars
-    for factor in text.split("*"):
-        m = _POWER_RE.match(factor.strip())
-        if m is None:
-            raise ValueError(f"bad monomial factor: {factor!r}")
-        name, power = m.group(1), int(m.group(2) or 1)
-        if name not in index:
-            raise ValueError(f"unknown variable {name!r}")
-        exps[index[name]] += power
     return Monomial(exps)

@@ -1,12 +1,15 @@
 """Order constructions on power generators: the recursive pure-power
-("efficient") orders, bucket classification, admissible edge orders, and the
-compatible orders built from an admissible edge order plus a square order.
+("efficient") orders, admissible edge orders, and the compatible orders built
+from an admissible edge order plus a square order.
 
-Both recursive constructions share one extension step: given an order
-u_1 > ... > u_r of the generators of I^q and an edge sequence f_1, ..., f_s,
-the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 > ... > u_r f_s
-with a product omitted when it already appeared (first-appearance dedup by
-exponent vector).  They differ only in where the edge sequence comes from.
+Both recursive constructions end in one lift routine, ``_lift``: given an
+order u_1 > ... > u_r of the generators of I^q and an edge sequence
+f_1, ..., f_s, the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 >
+... > u_r f_s with a product omitted when it already appeared.  A step is one
+broadcast add of the edge rows to the current rows of the exponent matrix
+followed by first-appearance dedup; the final rows are mapped to generator
+indices through ``PowerGenerators.index``.  The constructions differ only in
+where the edge sequence comes from.
 """
 
 from __future__ import annotations
@@ -14,47 +17,52 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .graphs import Graph
 from .linquot import (
     GeneratorOrdering,
     OrderingPreconditionError,
     verify_linear_quotients,
 )
-from .monomials import Monomial, from_vars
-from .power_ideals import DEFAULT_CAP, PowerGenerators, power_generators
+from .power_ideals import DEFAULT_CAP, power_generators
 
 
-def _extend_once(
-    base: Sequence[Monomial], edge_monomials: Sequence[Monomial]
-) -> list[Monomial]:
-    emitted: list[Monomial] = []
-    seen: set[Monomial] = set()
-    for e in edge_monomials:
-        for u in base:
-            m = u * e
-            if m not in seen:
-                seen.add(m)
-                emitted.append(m)
-    return emitted
+def _lift(
+    o: GeneratorOrdering,
+    edges: Sequence[tuple[int, int]],
+    target_q: int,
+    provenance: str,
+    cap: int,
+) -> GeneratorOrdering:
+    """Multiply the order ``o`` up to the power ``target_q`` along ``edges``."""
+    ideal = o.base.ideal
+    n = ideal.nvars
+    edge_rows = np.array([[int(v in e) for v in range(n)] for e in edges], dtype=np.int64)
+    rows = o.exps()
+    for _ in range(o.base.q, target_q):
+        # One edge block at a time keeps the transient lists to one block.
+        keys: dict[tuple[int, ...], None] = {}
+        for e in edge_rows:
+            keys.update(dict.fromkeys(map(tuple, (rows + e).tolist())))
+        rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), n)
+    pg = power_generators(ideal, target_q, cap)
+    seq = tuple(pg.index[k] for k in keys)
+    if sorted(seq) != list(range(pg.count)):
+        raise AssertionError(f"{provenance} order lost or duplicated a generator")
+    return GeneratorOrdering(pg, seq, provenance)
 
 
 def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:
     """Edge indices in the order their pure powers appear in the ordering."""
     pg = o.base
-    ideal = pg.ideal
-    q = pg.q
-    pure: dict[Monomial, int] = {}
-    for j, e in enumerate(ideal.gens):
-        m = e
-        for _ in range(q - 1):
-            m = m * e
-        pure[m] = j
-    seq = [pure[m] for m in o.monomials() if m in pure]
-    if sorted(seq) != list(range(ideal.nedges)):
-        raise OrderingPreconditionError(
-            "pure powers of the edges are not totally ordered by the base order"
-        )
-    return tuple(seq)
+    pos = [0] * pg.count
+    for k, i in enumerate(o.sequence):
+        pos[i] = k
+    pure = pg.multiset_index
+    return tuple(
+        sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[(j,) * pg.q]])
+    )
 
 
 def efficient_ordering(
@@ -70,36 +78,8 @@ def efficient_ordering(
         raise ValueError(f"target power {target_s} below base power {pg.q}")
     if target_s == pg.q:
         return o
-    edge_seq = pure_power_edge_sequence(o)
-    edge_mons = [pg.ideal.gens[j] for j in edge_seq]
-    mons = o.monomials()
-    for _ in range(pg.q, target_s):
-        mons = _extend_once(mons, edge_mons)
-    pg_s = power_generators(pg.ideal, target_s, cap)
-    seq = tuple(pg_s.index[m] for m in mons)
-    if sorted(seq) != list(range(pg_s.count)):
-        raise AssertionError("efficient ordering lost or duplicated a generator")
-    return GeneratorOrdering(pg_s, seq, "efficient")
-
-
-def classify_buckets(
-    o: GeneratorOrdering, pure_power_order: Sequence[int]
-) -> tuple[int, ...]:
-    """Assign each generator to the earliest edge any factorization uses.
-
-    ``pure_power_order`` lists the edge indices from largest to smallest pure
-    power.  The result is aligned with the base generator indices: entry i is
-    the edge index of the class containing generator i.
-    """
-    pg = o.base
-    rank = {j: k for k, j in enumerate(pure_power_order)}
-    if sorted(rank) != list(range(pg.ideal.nedges)):
-        raise ValueError("pure_power_order must be a permutation of the edges")
-    out = []
-    for facs in pg.factorizations:
-        best = min((j for f in facs for j in f), key=lambda j: rank[j])
-        out.append(best)
-    return tuple(out)
+    edges = [pg.ideal.edges[j] for j in pure_power_edge_sequence(o)]
+    return _lift(o, edges, target_s, "efficient", cap)
 
 
 def admissible_order(g: Graph) -> tuple[int, ...]:
@@ -149,6 +129,18 @@ def is_admissible(g: Graph, eo: Sequence[int]) -> bool:
     return True
 
 
+def auto_edge_order(g: Graph, o2: GeneratorOrdering) -> tuple[tuple[int, ...], str]:
+    """The edge order for ``compatible_orders`` when none is given.
+
+    The pure-power sequence of ``o2`` when it is admissible, the peel order
+    otherwise; returned with its source, ``"pure-powers"`` or ``"peel"``.
+    """
+    eo = pure_power_edge_sequence(o2)
+    if is_admissible(g, eo):
+        return eo, "pure-powers"
+    return admissible_order(g), "peel"
+
+
 def compatible_orders(
     g: Graph,
     eo: Sequence[int],
@@ -180,12 +172,4 @@ def compatible_orders(
         )
     if target_q == 2:
         return o2
-    edge_mons = [from_vars(g.n, g.edges[j]) for j in eo]
-    mons = o2.monomials()
-    for _ in range(2, target_q):
-        mons = _extend_once(mons, edge_mons)
-    pg_q = power_generators(pg2.ideal, target_q, cap)
-    seq = tuple(pg_q.index[m] for m in mons)
-    if sorted(seq) != list(range(pg_q.count)):
-        raise AssertionError("compatible order lost or duplicated a generator")
-    return GeneratorOrdering(pg_q, seq, "compatible")
+    return _lift(o2, [g.edges[j] for j in eo], target_q, "compatible", cap)

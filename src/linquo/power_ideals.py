@@ -1,20 +1,24 @@
-"""Generators of edge-ideal powers with full factorization bookkeeping.
+"""Generators of edge-ideal powers as the rows of one exponent matrix.
 
 For an equigenerated ideal the distinct products of q edges are exactly the
 minimal generators of the q-th power (equal degree 2q, so none divides
-another).  Every size-q edge multiset is recorded under the generator it
-multiplies out to, which makes factorization-divisibility queries (does some
-factorization of w use edge e?) plain lookups.
+another).  ``PowerGenerators`` stores them as ``exps``, an r x n int64 matrix
+whose row i is the exponent vector of generator i, and ``index``, which maps
+an exponent tuple back to its row.  Generator indices follow the first
+appearance of each product in ``combinations_with_replacement`` order.  Every
+size-q edge multiset is recorded under the generator it multiplies out to,
+so the factorizations of a generator are plain lookups.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .graphs import Graph
-from .monomials import Monomial, from_vars
 
 DEFAULT_CAP = 10**7
 
@@ -26,7 +30,7 @@ class CapExceeded(RuntimeError):
 class EdgeIdeal:
     """Edge ideal of a graph with a fixed generator (= edge) sequence."""
 
-    __slots__ = ("graph", "edges", "gens")
+    __slots__ = ("graph", "edges")
 
     def __init__(self, graph: Graph, edge_order: Sequence[tuple[int, int]] | None = None):
         if edge_order is None:
@@ -39,7 +43,6 @@ class EdgeIdeal:
                 raise ValueError("edge_order must be a permutation of the graph's edges")
         self.graph = graph
         self.edges = tuple(edge_order)
-        self.gens = tuple(from_vars(graph.n, e) for e in self.edges)
 
     @property
     def nvars(self) -> int:
@@ -59,9 +62,11 @@ def edge_ideal(g: Graph) -> EdgeIdeal:
 
 
 class PowerGenerators:
-    """Minimal generators of I^q together with all edge-multiset factorizations."""
+    """Minimal generators of I^q: row i of ``exps`` is generator i, ``index``
+    maps an exponent tuple to its row, and ``factorizations[i]`` lists the
+    edge multisets that multiply out to generator i."""
 
-    __slots__ = ("ideal", "q", "gens", "factorizations", "index", "multiset_index")
+    __slots__ = ("ideal", "q", "exps", "index", "factorizations", "multiset_index")
 
     def __init__(self, ideal: EdgeIdeal, q: int, cap: int = DEFAULT_CAP):
         if q < 1:
@@ -72,11 +77,9 @@ class PowerGenerators:
             raise CapExceeded(
                 f"{total} edge multisets for q={q} over {s} edges exceeds cap {cap}"
             )
-        gens: list[Monomial] = []
         factorizations: list[list[tuple[int, ...]]] = []
-        index: dict[Monomial, int] = {}
+        index: dict[tuple[int, ...], int] = {}
         multiset_index: dict[tuple[int, ...], int] = {}
-        edge_gens = ideal.gens
         nvars = ideal.nvars
         for multiset in combinations_with_replacement(range(s), q):
             exps = [0] * nvars
@@ -84,34 +87,24 @@ class PowerGenerators:
                 u, v = ideal.edges[j]
                 exps[u] += 1
                 exps[v] += 1
-            m = Monomial(exps)
-            at = index.get(m)
+            key = tuple(exps)
+            at = index.get(key)
             if at is None:
-                at = len(gens)
-                index[m] = at
-                gens.append(m)
+                at = index[key] = len(factorizations)
                 factorizations.append([])
             factorizations[at].append(multiset)
             multiset_index[multiset] = at
         self.ideal = ideal
         self.q = q
-        self.gens = tuple(gens)
-        self.factorizations = tuple(tuple(f) for f in factorizations)
+        self.exps = np.array(list(index), dtype=np.int64).reshape(len(index), nvars)
+        self.exps.setflags(write=False)
         self.index = index
+        self.factorizations = tuple(tuple(f) for f in factorizations)
         self.multiset_index = multiset_index
-        assert len(edge_gens) == s
 
     @property
     def count(self) -> int:
-        return len(self.gens)
-
-    def coincidences(self) -> list[tuple[Monomial, tuple[tuple[int, ...], ...]]]:
-        """Generators with more than one factorization (merged multisets)."""
-        return [
-            (self.gens[i], self.factorizations[i])
-            for i in range(self.count)
-            if len(self.factorizations[i]) > 1
-        ]
+        return len(self.factorizations)
 
     def __repr__(self) -> str:
         return f"PowerGenerators(q={self.q}, count={self.count})"
@@ -121,52 +114,14 @@ def power_generators(ideal: EdgeIdeal, q: int, cap: int = DEFAULT_CAP) -> PowerG
     return PowerGenerators(ideal, q, cap)
 
 
-def edge_factorizations(pg: PowerGenerators, gen_index: int) -> tuple[tuple[int, ...], ...]:
-    return pg.factorizations[gen_index]
-
-
-def has_edge_factor(pg: PowerGenerators, gen_index: int, edge_index: int) -> bool:
-    """Factorization-divisibility: some stored factorization contains the edge."""
-    return any(edge_index in f for f in pg.factorizations[gen_index])
-
-
-def duplicate_ideal(gens: Iterable[Monomial], x: int) -> list[Monomial]:
-    """Duplicate a squarefree equigenerated ideal by variable ``x``.
-
-    The fresh variable y gets index nvars; the output lives over nvars + 1
-    variables and consists of the original generators followed by m/x * y for
-    every generator m divisible by x.  Without any x-divisible generator the
-    ideal is returned unchanged (over the original ring).
-    """
-    gens = list(gens)
-    if not gens:
-        return []
-    nvars = gens[0].nvars
-    degs = {m.degree() for m in gens}
-    if len(degs) != 1:
-        raise ValueError("generators are not equigenerated")
-    if any(not m.is_squarefree() for m in gens):
-        raise ValueError("duplicate ideal requires squarefree generators")
-    if all(m.deg_var(x) == 0 for m in gens):
-        return gens
-    out = [m.extend(nvars + 1) for m in gens]
-    y = nvars
-    for m in out[: len(gens)]:
-        if m.deg_var(x) > 0:
-            exps = list(m.exps)
-            exps[x] -= 1
-            exps[y] += 1
-            out.append(Monomial(exps))
-    return out
-
-
-def expansion_new_generators(u: Monomial, x: int, y: int) -> list[Monomial]:
-    """The deg_x(u) monomials u * y^k / x^k for k = 1..deg_x(u), in order."""
-    d = u.deg_var(x)
+def expansion_new_generators(
+    u: Sequence[int], x: int, y: int
+) -> list[tuple[int, ...]]:
+    """The deg_x(u) exponent vectors of u * y^k / x^k for k = 1..deg_x(u), in order."""
     out = []
-    exps = list(u.exps)
-    for _ in range(d):
+    exps = list(u)
+    for _ in range(u[x]):
         exps[x] -= 1
         exps[y] += 1
-        out.append(Monomial(exps))
+        out.append(tuple(exps))
     return out

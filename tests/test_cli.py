@@ -1,0 +1,70 @@
+import json
+
+import pytest
+
+from linquo import cli, fixtures
+from linquo.power_ideals import edge_ideal, power_generators
+
+PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["powers", "--graph", "c5", "--q", "2", "--count-only"], PASS),
+        (["verify", "--graph", "c5", "--q", "2", "--order", "builtin:istanbul"], PASS),
+        (["find-order", "--graph", "c5", "--q", "2"], PASS),
+        (["find-order", "--graph", "2k2", "--q", "1"], FAIL),
+        (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "3"], PASS),
+        (["admissible-order", "--graph", "c5"], PASS),
+        (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "3"], PASS),
+        (["duplicate", "--graph", "fig2", "--vertex", "x"], PASS),
+        (["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "2", "--order", "builtin:fig4"], PASS),
+        (["expand", "--graph", "fig2", "--vertex", "x", "--q", "2", "--order", "builtin:fig2"], PASS),
+        (["expand", "--graph", "c5", "--vertex", "a", "--q", "2", "--order", "builtin:istanbul"], FAIL),
+        (["classify", "--graph", "gamma7"], PASS),
+        (["scan", "--n", "3", "--q-max", "1"], PASS),
+        (["thm64", "--graph", "c5", "--q-through", "3", "--i2-order", "builtin:istanbul"], PASS),
+        (["repro", "istanbul"], PASS),
+        (["classify", "--graph", "no-such-fixture"], USAGE),
+        (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
+        (["--cap", "3", "powers", "--graph", "c5", "--q", "2"], BUDGET),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_exit_codes(argv, code, capsys):
+    assert cli.main(argv) == code
+
+
+def test_verify_fails_a_reversed_order_file(tmp_path, capsys):
+    pg = power_generators(edge_ideal(fixtures.c5()), 2)
+    lines = fixtures.format_order(fixtures.builtin_order("istanbul", pg)).splitlines()
+    path = tmp_path / "reversed.order"
+    path.write_text("\n".join(reversed(lines)) + "\n")
+    argv = ["verify", "--graph", "c5", "--q", "2", "--order", str(path)]
+    assert cli.main(argv) == FAIL
+    out = json.loads(capsys.readouterr().out)
+    assert not out["pass"] and out["witness"] is not None
+
+
+def test_powers_list(capsys):
+    assert cli.main(["powers", "--graph", "c5", "--q", "2", "--list"]) == PASS
+    out = json.loads(capsys.readouterr().out)
+    assert out["count"] == len(out["gens"]) == 15
+    assert out["gens"][0] == {
+        "monomial": "a^2*b^2",
+        "exps": [2, 2, 0, 0, 0],
+        "factorizations": [[0, 0]],
+    }
+
+
+def test_admissible_order_rejects_a_non_admissible_construction(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "admissible_order", lambda g: (0, 2, 1, 3, 4))
+    assert cli.main(["admissible-order", "--graph", "c5"]) == FAIL
+    assert "not admissible" in capsys.readouterr().err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "1", "classify", "--graph", "c5"])
+    assert exc.value.code == USAGE

@@ -169,7 +169,7 @@ def test_duplicate_vertex():
     assert gx.n == 5
     assert gx.edge_set == g.edge_set | {(1, 4), (3, 4)}
     assert gx.adj[4] == gx.adj[0]  # N(y) = N(x)
-    assert not gx.has_edge(0, 4)
+    assert (0, 4) not in gx.edge_set
     assert gx.labels[4] == "x'"
     # duplicating an isolated vertex adds an isolated vertex
     iso = duplicate_vertex(Graph(3, [(0, 1)]), 2)

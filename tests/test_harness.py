@@ -4,18 +4,14 @@ from itertools import combinations
 import pytest
 
 from linquo.fixtures import c5, fig4, gamma7, two_k2
-from linquo.graphs import Graph, is_chordal, is_cochordal
+from linquo.graphs import Graph
 from linquo.harness import (
-    ExperimentSpec,
     all_labeled_graphs,
     canonical_form,
     check_theorem64_premises,
     classify_graph,
     lq_verdict,
     nonisomorphic_graphs,
-    random_chordal_graph,
-    random_cochordal_graph,
-    run_experiment,
     scan_small_graphs,
 )
 
@@ -46,17 +42,6 @@ def test_canonical_form_is_relabeling_invariant():
     assert canonical_form(Graph(4, [(0, 1), (1, 2), (2, 3)])) != canonical_form(
         Graph(4, [(0, 1), (0, 2), (0, 3)])
     )
-
-
-def test_random_chordal_and_cochordal():
-    rng = random.Random(47)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        assert is_chordal(random_chordal_graph(n, rng))
-    rng = random.Random(47)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        assert is_cochordal(random_cochordal_graph(n, rng))
 
 
 def test_lq_verdict_recorded_orders_verify():
@@ -90,53 +75,6 @@ def test_scan_small_graphs_classifier_consistency():
 def test_scan_rejects_large_n():
     with pytest.raises(ValueError):
         scan_small_graphs(8, 1)
-
-
-def test_run_experiment_efficient_expect_pass():
-    spec = ExperimentSpec(
-        name="pentagon-powers",
-        graph="c5",
-        qs=(2, 3, 4),
-        strategy="efficient",
-        base_order="builtin:istanbul",
-    )
-    report = run_experiment(spec)
-    assert report["passed"]
-    assert report["per_q"][4]["count"] == 70
-
-
-def test_run_experiment_search_expect_no():
-    spec = ExperimentSpec(
-        name="gap", graph="2k2", qs=(1, 2), strategy="search", expect="no"
-    )
-    assert run_experiment(spec)["passed"]
-
-
-def test_run_experiment_duplication_chain():
-    spec = ExperimentSpec(
-        name="gamma7",
-        graph="fig4",
-        qs=(2, 3),
-        strategy="duplication",
-        base_order="builtin:fig4",
-        vertex=5,
-    )
-    report = run_experiment(spec)
-    assert report["passed"]
-
-
-def test_run_experiment_expansion_rejection():
-    spec = ExperimentSpec(
-        name="bad-expansion",
-        graph="c5",
-        qs=(2,),
-        strategy="expansion",
-        base_order="builtin:istanbul",
-        vertex=0,
-    )
-    report = run_experiment(spec)
-    assert not report["passed"]
-    assert report["per_q"][2]["verdict"] == "rejected"
 
 
 def test_check_theorem64_premises_pentagon():

@@ -275,7 +275,6 @@ def test_search_verdict_matches_oracle_on_random_graphs():
         checked += 1
         res = find_lq_order(pg)
         assert res.status in ("found", "none")
-        mons = pg.gens
         exists = False
         for perm in permutations(range(pg.count)):
             o = GeneratorOrdering(pg, perm)

@@ -23,18 +23,37 @@ from linquo.linquot import (
 from linquo.monomials import from_vars
 from linquo.orderings import (
     admissible_order,
-    classify_buckets,
+    auto_edge_order,
     compatible_orders,
     efficient_ordering,
     is_admissible,
     pure_power_edge_sequence,
 )
-from linquo.power_ideals import edge_ideal, has_edge_factor, power_generators
+from linquo.power_ideals import edge_ideal, power_generators
 
 
 def ordering(g, q, multisets):
     pg = power_generators(edge_ideal(g), q)
     return ordering_from_multisets(pg, multisets)
+
+
+def reference_lift(o, edge_seq, target_q):
+    """The lift as a plain loop: u_1 f_1, ..., u_r f_1, u_1 f_2, ... per step,
+    keeping first appearances, mapped to generator indices at the end."""
+    g = o.base.ideal.graph
+    rows = [tuple(row) for row in o.exps().tolist()]
+    for _ in range(o.base.q, target_q):
+        out = {}
+        for j in edge_seq:
+            u, v = g.edges[j]
+            for row in rows:
+                m = list(row)
+                m[u] += 1
+                m[v] += 1
+                out.setdefault(tuple(m))
+        rows = list(out)
+    pg = power_generators(edge_ideal(g), target_q)
+    return tuple(pg.index[row] for row in rows)
 
 
 def test_pure_power_edge_sequence():
@@ -78,35 +97,14 @@ def test_efficient_ordering_is_a_permutation_of_the_power():
         assert sorted(o.sequence) == list(range(comb(s + 4, 4)))
 
 
-def test_classify_buckets_pentagon():
-    ist = ordering(c5(), 2, ISTANBUL)
-    pg = ist.base
-    buckets = classify_buckets(ist, (0, 1, 2, 4, 3))
-    assert buckets[pg.multiset_index[(0, 1)]] == 0  # e1e2 lands with e1
-    # only the pure power of the last edge stays in its own class
-    last_class = [i for i in range(pg.count) if buckets[i] == 3]
-    assert last_class == [pg.multiset_index[(3, 3)]]
-
-
-def test_classify_buckets_fig2_uses_factorizations():
-    o2 = ordering(fig2(), 2, FIG2_SQUARE)
-    pg = o2.base
-    buckets = classify_buckets(o2, tuple(range(8)))
-    # (ap)(xz) = (ax)(pz) has an e2 factorization, so it classifies with e2
-    assert buckets[pg.multiset_index[(3, 6)]] == 1
-    with pytest.raises(ValueError):
-        classify_buckets(o2, (0, 1))
-
-
-def test_bucket_membership_roundtrip_with_factorizations():
-    ist = ordering(c5(), 2, ISTANBUL)
-    for s in (2, 3):
-        o = efficient_ordering(ist, s)
-        pg = o.base
-        seq = (0, 1, 2, 4, 3)
-        buckets = classify_buckets(o, seq)
-        for i in range(pg.count):
-            assert (buckets[i] == 0) == has_edge_factor(pg, i, 0)
+def test_auto_edge_order_prefers_admissible_pure_powers():
+    g = c5()
+    ist = ordering(g, 2, ISTANBUL)
+    assert auto_edge_order(g, ist) == ((0, 1, 2, 4, 3), "pure-powers")
+    # pure powers in the inadmissible order ab, cd, bc, de, ea
+    pure = [(j, j) for j in (0, 2, 1, 3, 4)]
+    o = ordering(g, 2, pure + [ms for ms in ISTANBUL if ms[0] != ms[1]])
+    assert auto_edge_order(g, o) == (admissible_order(g), "peel")
 
 
 def test_admissible_order_pentagon_trace():
@@ -203,6 +201,9 @@ def test_compatible_orders_random_squares_deterministic_and_complete():
         again = compatible_orders(g, eo, res.ordering, 3)
         assert o3.sequence == again.sequence
         assert sorted(o3.sequence) == list(range(o3.base.count))
+        assert o3.sequence == reference_lift(res.ordering, eo, 3)
+        o4 = efficient_ordering(res.ordering, 4)
+        assert o4.sequence == reference_lift(res.ordering, eo, 4)
         if verify_linear_quotients(o3).passed:
             passed += 1
     assert passed >= built // 2  # most compatible pairs do verify

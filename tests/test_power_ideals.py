@@ -4,28 +4,26 @@ from math import comb
 
 import pytest
 
-from linquo.fixtures import c5, fig2, fig4, gamma7
+from linquo.fixtures import c5, fig2, fig4
 from linquo.graphs import Graph
-from linquo.monomials import Monomial, from_vars, product
 from linquo.power_ideals import (
     CapExceeded,
-    duplicate_ideal,
-    edge_factorizations,
     edge_ideal,
     expansion_new_generators,
-    has_edge_factor,
     power_generators,
 )
 
 
 def test_edge_ideal_generators():
     ei = edge_ideal(c5())
-    assert [m.format(("a", "b", "c", "d", "e")) for m in ei.gens] == [
-        "a*b",
-        "b*c",
-        "c*d",
-        "d*e",
-        "a*e",
+    assert ei.edges == ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    # the first power's generators are the edges, one row each, in edge order
+    assert power_generators(ei, 1).exps.tolist() == [
+        [1, 1, 0, 0, 0],
+        [0, 1, 1, 0, 0],
+        [0, 0, 1, 1, 0],
+        [0, 0, 0, 1, 1],
+        [1, 0, 0, 0, 1],
     ]
     assert edge_ideal(fig2()).nedges == 8
     assert edge_ideal(Graph(4)).nedges == 0
@@ -52,13 +50,14 @@ def test_power_counts():
 def test_fig2_coincidences():
     pg = power_generators(edge_ideal(fig2()), 2)
     merged = {
-        frozenset(facs): pg.gens[i]
+        frozenset(facs): tuple(pg.exps[i].tolist())
         for i, facs in enumerate(pg.factorizations)
         if len(facs) > 1
     }
-    assert set(merged) == {
-        frozenset({(1, 5), (3, 6)}),
-        frozenset({(2, 7), (4, 6)}),
+    # (ax)(pz) = (ap)(xz) and (bx)(qz) = (bq)(xz) over a, b, p, q, x, z
+    assert merged == {
+        frozenset({(1, 5), (3, 6)}): (1, 0, 1, 0, 1, 1),
+        frozenset({(2, 7), (4, 6)}): (0, 1, 0, 1, 1, 1),
     }
 
 
@@ -82,11 +81,22 @@ def test_every_multiset_lands_exactly_once():
 
 
 def brute_force_products(g, q):
-    ei = edge_ideal(g)
-    return {
-        product(ei.gens[j] for j in ms)
-        for ms in combinations_with_replacement(range(ei.nedges), q)
-    }
+    """Exponent tuples of every product of q edges, by direct summation."""
+    out = set()
+    for ms in combinations_with_replacement(g.edges, q):
+        exps = [0] * g.n
+        for e in ms:
+            for v in e:
+                exps[v] += 1
+        out.add(tuple(exps))
+    return out
+
+
+def assert_matches_bruteforce(g, q):
+    pg = power_generators(edge_ideal(g), q)
+    assert set(pg.index) == brute_force_products(g, q)
+    assert [tuple(row) for row in pg.exps.tolist()] == list(pg.index)
+    assert list(pg.index.values()) == list(range(pg.count))
 
 
 def test_generators_match_bruteforce_small():
@@ -97,8 +107,7 @@ def test_generators_match_bruteforce_small():
         if not g.edges:
             continue
         for q in (1, 2, 3):
-            pg = power_generators(edge_ideal(g), q)
-            assert set(pg.gens) == brute_force_products(g, q)
+            assert_matches_bruteforce(g, q)
     # sampled 5-vertex graphs
     rng = random.Random(29)
     pairs5 = list(combinations(range(5), 2))
@@ -107,63 +116,14 @@ def test_generators_match_bruteforce_small():
         if not g.edges:
             continue
         for q in (2, 3):
-            pg = power_generators(edge_ideal(g), q)
-            assert set(pg.gens) == brute_force_products(g, q)
-
-
-def test_duplicate_ideal_pentagon():
-    ei = edge_ideal(c5())
-    out = duplicate_ideal(ei.gens, 0)  # duplicate the vertex a
-    assert len(out) == 7
-    y = 5
-    assert from_vars(6, [1, y]) in out  # y*b
-    assert from_vars(6, [4, y]) in out  # y*e
-    # generator count grows by the number of x-divisible generators
-    divisible = sum(1 for m in ei.gens if m.deg_var(0) > 0)
-    assert len(out) == ei.nedges + divisible
-
-
-def test_duplicate_ideal_without_the_variable_is_identity():
-    gens = [from_vars(3, [0, 1])]
-    assert duplicate_ideal(gens, 2) == gens
-
-
-def test_duplicate_ideal_rejects_bad_input():
-    with pytest.raises(ValueError):
-        duplicate_ideal([Monomial([2, 0])], 0)  # not squarefree
-    with pytest.raises(ValueError):
-        duplicate_ideal([Monomial([1, 0]), Monomial([1, 1])], 0)  # degrees differ
-
-
-def test_duplicate_ideal_matches_graph_duplication():
-    # duplicating the ideal by z equals the edge ideal of the duplicated graph
-    out = duplicate_ideal(edge_ideal(fig4()).gens, 5)
-    assert len(out) == 11
-    assert set(out) == set(edge_ideal(gamma7()).gens)
+            assert_matches_bruteforce(g, q)
 
 
 def test_expansion_new_generators():
     # u = x^2 * m over variables x, y, m
-    u = Monomial([2, 0, 1])
-    assert expansion_new_generators(u, 0, 1) == [Monomial([1, 1, 1]), Monomial([0, 2, 1])]
-    assert expansion_new_generators(Monomial([1, 0, 2]), 0, 1) == [Monomial([0, 1, 2])]
-    assert expansion_new_generators(Monomial([0, 1, 1]), 0, 1) == []
-
-
-def test_has_edge_factor():
-    pg = power_generators(edge_ideal(fig2()), 2)
-    # w = e4 e5 = abpq is divisible by the monomial ab but has no e1 factorization
-    w = from_vars(6, [0, 1, 2, 3])
-    i = pg.index[w]
-    assert from_vars(6, [0, 1]).divides(w)
-    assert not has_edge_factor(pg, i, 0)
-    # w = e2 e6 = e4 e7 admits an e4 factorization
-    j = pg.multiset_index[(1, 5)]
-    assert has_edge_factor(pg, j, 3)
-    # pure powers contain their own edge
-    k = pg.multiset_index[(2, 2)]
-    assert has_edge_factor(pg, k, 2)
-    assert edge_factorizations(pg, j) == ((1, 5), (3, 6))
+    assert expansion_new_generators((2, 0, 1), 0, 1) == [(1, 1, 1), (0, 2, 1)]
+    assert expansion_new_generators([1, 0, 2], 0, 1) == [(0, 1, 2)]
+    assert expansion_new_generators((0, 1, 1), 0, 1) == []
 
 
 def test_cap_aborts_cleanly():
