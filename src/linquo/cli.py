@@ -200,7 +200,7 @@ def _cmd_find_order(args) -> int:
     elif res.found:
         _emit(fixtures.format_order(res.ordering), args.emit)
     else:
-        print(f"{res.status} after {res.nodes} nodes", file=sys.stderr)
+        print(f"{res.status} after {res.nodes} nodes (budget {args.budget})", file=sys.stderr)
     if res.status == "found":
         return PASS
     return FAIL if res.status == "none" else BUDGET
@@ -244,7 +244,10 @@ def _cmd_compatible_orders(args) -> int:
     if args.i2_order == "auto":
         res = find_lq_order(pg2, args.budget)
         if not res.found:
-            print(f"no square order: {res.status}", file=sys.stderr)
+            print(
+                f"no square order: {res.status} after {res.nodes} nodes (budget {args.budget})",
+                file=sys.stderr,
+            )
             return FAIL if res.status == "none" else BUDGET
         o2 = res.ordering
     else:

@@ -84,6 +84,18 @@ def classify_graph(g: Graph) -> dict:
     }
 
 
+def _unfound(res, budget: int) -> dict:
+    """The record of a search that found no order: "no" when the tree was
+    exhausted, "unknown" with the budget that ran out otherwise."""
+    if res.status == "none":
+        return {"verdict": "no", "nodes": res.nodes}
+    return {
+        "verdict": "unknown",
+        "nodes": res.nodes,
+        "reason": f"budget of {budget} nodes exhausted",
+    }
+
+
 def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP) -> dict:
     """Search verdict for one power, with the found order re-verified."""
     try:
@@ -101,9 +113,7 @@ def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAUL
             "nodes": res.nodes,
             "backtracks": res.backtracks,
         }
-    if res.status == "none":
-        return {"verdict": "no", "nodes": res.nodes}
-    return {"verdict": "unknown", "nodes": res.nodes, "reason": "budget exhausted"}
+    return _unfound(res, budget)
 
 
 def scan_small_graphs(
@@ -158,8 +168,7 @@ def check_theorem64_premises(
             return report
         res = find_lq_order(pg2, budget)
         if res.status != "found":
-            verdict = "no" if res.status == "none" else "unknown"
-            report["computed"][2] = {"verdict": verdict, "nodes": res.nodes}
+            report["computed"][2] = _unfound(res, budget)
             report["first_failure_q"] = 2
             report["holds_through"] = None
             report["implied"] = None

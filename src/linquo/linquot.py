@@ -12,6 +12,13 @@ The verifier and the search work on the exponent matrix
 sequence); the transports map exponent tuples back to generator indices
 through ``PowerGenerators.index``.  ``Monomial`` appears only in witnesses,
 in the colon oracle and in ``GeneratorOrdering.monomials()``.
+
+The search applies the same criterion to one candidate at a time, with sets of
+generators held as Python int bitmasks over generator indices: per candidate
+c, one numpy pass over ``exps - exps[c]`` gives the generators whose colon
+against c has degree > 1, and per variable v those whose colon is x_v and
+those whose colon involves v.  Testing c after a prefix is then a few int
+operations on those masks and the prefix's mask.
 """
 
 from __future__ import annotations
@@ -176,13 +183,65 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# (wide, units) of one candidate; see ``_colon_tables``.
+_Tables = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit p set where row[p]."""
+    return [
+        int.from_bytes(b.tobytes(), "little")
+        for b in np.packbits(rows, axis=1, bitorder="little")
+    ]
+
+
+def _colon_tables(E: np.ndarray, c: int) -> _Tables:
+    """The colons u_p : u_c of every row p of E against row c, as bitmasks over p.
+
+    Returns ``(wide, units)``: ``wide`` holds the p with deg(u_p : u_c) > 1;
+    ``units`` has one pair ``(unit, touch)`` per variable v that is some
+    degree-one colon, where ``unit`` holds the p with u_p : u_c = x_v and
+    ``touch`` the p with v in supp(u_p : u_c).
+    """
+    D = E - E[c]
+    np.maximum(D, 0, out=D)
+    pos = D > 0
+    degs = D.sum(axis=1)
+    unit = pos & (degs == 1)[:, None]
+    wide, *masks = _bitmasks(np.vstack([degs > 1, unit.T, pos.T]))
+    n = E.shape[1]
+    units = tuple((masks[v], masks[n + v]) for v in range(n) if masks[v])
+    return wide, units
+
+
+def _extends(tables: _Tables, mask: int) -> bool:
+    """Whether the colon ideal of the prefix ``mask`` at the tables' generator
+    is generated by variables: every wide colon in the prefix is divisible by
+    a variable that is itself a colon in the prefix."""
+    wide, units = tables
+    bad = wide & mask
+    if not bad:
+        return True
+    explained = 0
+    for unit, touch in units:
+        if unit & mask:
+            explained |= touch
+    return not bad & ~explained
+
+
 def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     """Backtracking search for a linear-quotients order.
 
     Prefixes are extended by any generator whose colon ideal against the
     prefix is variable-generated; candidates sharing the most support
-    variables with the prefix are tried first.  Exhausting the tree proves no
-    order exists; hitting the node budget reports unknown.
+    variables with the prefix are tried first, ties by index.  Exhausting the
+    tree proves no order exists; hitting the node budget reports unknown.
+
+    The prefix, its support and each generator's support are int bitmasks.
+    The first time a candidate is tested, ``_colon_tables`` computes its
+    colons against every generator in one numpy pass; each later test against
+    a prefix is a few int operations (``_extends``).  The tables live for one
+    call.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -190,56 +249,37 @@ def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     if r == 0:
         return SearchResult("found", GeneratorOrdering(pg, (), "search"), 0, 0)
     E = pg.exps
-    supports = [frozenset(np.flatnonzero(row).tolist()) for row in E]
+    supports = _bitmasks(E > 0)
+    tables: list[_Tables | None] = [None] * r
     prefix: list[int] = []
-    in_prefix = [False] * r
-    prefix_support: set[int] = set()
     nodes = 0
     backtracks = 0
 
-    def can_extend(c: int) -> bool:
-        C = E[prefix] - E[c]
-        np.maximum(C, 0, out=C)
-        degs = C.sum(axis=1)
-        if degs.max(initial=0) <= 1:
-            return True
-        one = degs == 1
-        if not one.any():
-            return False
-        cols = np.nonzero(C[one].max(axis=0) > 0)[0]
-        bad = degs > 1
-        return bool((C[np.ix_(bad, cols)].max(axis=1) > 0).all())
-
-    def dfs() -> bool:
+    def dfs(mask: int, support: int) -> bool:
         nonlocal nodes, backtracks
         if len(prefix) == r:
             return True
         order = sorted(
-            (c for c in range(r) if not in_prefix[c]),
-            key=lambda c: (-len(supports[c] & prefix_support), c),
+            (c for c in range(r) if not mask >> c & 1),
+            key=lambda c: (-(supports[c] & support).bit_count(), c),
         )
         for c in order:
-            if not can_extend(c):
+            if tables[c] is None:
+                tables[c] = _colon_tables(E, c)
+            if not _extends(tables[c], mask):
                 continue
             nodes += 1
             if nodes > budget:
                 raise _BudgetExhausted
             prefix.append(c)
-            in_prefix[c] = True
-            added = supports[c] - prefix_support
-            prefix_support.update(added)
-            if dfs():
+            if dfs(mask | 1 << c, support | supports[c]):
                 return True
             prefix.pop()
-            in_prefix[c] = False
-            prefix_support.difference_update(
-                v for v in added if not any(v in supports[p] for p in prefix)
-            )
             backtracks += 1
         return False
 
     try:
-        if dfs():
+        if dfs(0, 0):
             ordering = GeneratorOrdering(pg, tuple(prefix), "search")
             return SearchResult("found", ordering, nodes, backtracks)
         return SearchResult("none", None, nodes, backtracks)

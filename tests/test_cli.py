@@ -68,3 +68,12 @@ def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--seed", "1", "classify", "--graph", "c5"])
     assert exc.value.code == USAGE
+
+
+def test_search_commands_name_the_exhausted_budget(capsys):
+    argv = ["--budget", "1", "find-order", "--graph", "c5", "--q", "2"]
+    assert cli.main(argv) == BUDGET
+    assert capsys.readouterr().err == "unknown after 2 nodes (budget 1)\n"
+    argv = ["--budget", "1", "compatible-orders", "--graph", "c5", "--q", "3"]
+    assert cli.main(argv) == BUDGET
+    assert capsys.readouterr().err == "no square order: unknown after 2 nodes (budget 1)\n"

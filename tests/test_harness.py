@@ -101,3 +101,11 @@ def test_classify_graph_gamma7():
     info4 = classify_graph(fig4())
     assert not info4["cdcc"]
     assert not info4["induced"]["cricket"]
+
+
+def test_budget_exhaustion_names_the_budget():
+    want = {"verdict": "unknown", "nodes": 2, "reason": "budget of 1 nodes exhausted"}
+    assert lq_verdict(c5(), 2, budget=1) == want
+    report = check_theorem64_premises(c5(), budget=1)
+    assert report["computed"][2] == want
+    assert report["holds_through"] is None

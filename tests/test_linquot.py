@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -10,6 +11,7 @@ from linquo.fixtures import (
     c5,
     fig2,
     fig4,
+    gamma7,
     two_k2,
 )
 from linquo.graphs import Graph
@@ -17,6 +19,8 @@ from linquo.linquot import (
     GeneratorOrdering,
     NotGapfree,
     OrderingPreconditionError,
+    _colon_tables,
+    _extends,
     colon_min_gens,
     duplication_order,
     expansion_context,
@@ -147,6 +151,41 @@ def test_find_lq_order_budget_exhaustion():
         find_lq_order(pg, budget=0)
 
 
+def _graph_class(key):
+    return Graph(5, [(int(e[0]), int(e[1])) for e in key.split()])
+
+
+# (graph, q, budget) -> (status, nodes, backtracks, sha256 of the found
+# sequence as space-separated indices).  The search tree is pinned: a change to
+# how prefixes are tested must visit the same nodes in the same order.
+SEARCH_TREE_PINS = [
+    (_graph_class("02 04 12 13"), 2, 10**6, ("none", 17356, 17356, None)),
+    (_graph_class("01 04 12 13 23"), 2, 2 * 10**4, ("unknown", 20001, 19988, None)),
+    (
+        fig4(),
+        3,
+        10**6,
+        ("found", 138, 0, "dba70018f5da62b02ee38ae6bff50efd75155b2ae2176d70784ca612aa2985f4"),
+    ),
+    (
+        gamma7(),
+        2,
+        10**6,
+        ("found", 61, 0, "37b7eda335176df3fa110246a3853f2f445d279f758917214121d06c8eaf9c00"),
+    ),
+]
+
+
+def test_find_lq_order_search_tree_is_pinned():
+    for g, q, budget, want in SEARCH_TREE_PINS:
+        res = find_lq_order(power_generators(edge_ideal(g), q), budget)
+        digest = None
+        if res.ordering is not None:
+            text = " ".join(map(str, res.ordering.sequence))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (res.status, res.nodes, res.backtracks, digest) == want
+
+
 def test_duplication_order_pentagon_every_vertex():
     ist = ordering(c5(), 2, ISTANBUL)
     for x in range(5):
@@ -263,14 +302,15 @@ def test_expansion_prefix_is_duplication_order():
     assert suffix_mus == sorted(suffix_mus)  # rule 1 dominates the suffix sort
 
 
-def test_search_verdict_matches_oracle_on_random_graphs():
-    rng = random.Random(31)
+def _oracle_check(rng, q, max_count, want, max_n, density):
+    """Compare the search with a brute-force walk over all permutations on
+    ``want`` random graphs whose q-th power has 1..max_count generators."""
     checked = 0
-    while checked < 25:
-        n = rng.randint(3, 5)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
-        pg = power_generators(edge_ideal(g), 1)
-        if not 1 <= pg.count <= 6:
+    while checked < want:
+        n = rng.randint(3, max_n)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        pg = power_generators(edge_ideal(g), q)
+        if not 1 <= pg.count <= max_count:
             continue
         checked += 1
         res = find_lq_order(pg)
@@ -282,3 +322,35 @@ def test_search_verdict_matches_oracle_on_random_graphs():
                 exists = True
                 break
         assert (res.status == "found") == exists
+
+
+def test_search_verdict_matches_oracle_on_random_graphs():
+    _oracle_check(random.Random(31), 1, 6, 25, max_n=5, density=0.5)
+
+
+def test_search_verdict_matches_oracle_on_random_squares():
+    # A square with at most 7 generators has at most 3 edges, hence the
+    # sparse draws; they include 2K2 and P3 + K2, whose squares have no order.
+    _oracle_check(random.Random(37), 2, 7, 25, max_n=6, density=0.3)
+
+
+def test_extension_check_matches_colon_min_gens():
+    # The search accepts c after a prefix exactly when the colon ideal of the
+    # prefix at c has only degree-one minimal generators.
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+        if not g.edges:
+            continue
+        pg = power_generators(edge_ideal(g), rng.randint(1, 3))
+        if pg.count > 60:
+            continue
+        seq = list(range(pg.count))
+        rng.shuffle(seq)
+        t = rng.randrange(pg.count)
+        c = seq[t]
+        mask = sum(1 << p for p in seq[:t])
+        mins = colon_min_gens(GeneratorOrdering(pg, tuple(seq)), t)
+        want = all(m.degree() == 1 for m in mins)
+        assert _extends(_colon_tables(pg.exps, c), mask) == want
