@@ -165,11 +165,13 @@ def check_theorem64_premises(
         except CapExceeded as e:
             report["computed"][2] = {"verdict": "unknown", "reason": str(e)}
             report["holds_through"] = None
+            report["implied"] = None
             return report
         res = find_lq_order(pg2, budget)
         if res.status != "found":
             report["computed"][2] = _unfound(res, budget)
-            report["first_failure_q"] = 2
+            if res.status == "none":
+                report["first_failure_q"] = 2
             report["holds_through"] = None
             report["implied"] = None
             return report

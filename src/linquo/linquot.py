@@ -3,9 +3,10 @@
 The verification criterion: an ordering u_1 > ... > u_r of equal-degree
 monomials has linear quotients iff for every position t and every earlier i
 with deg(u_i : u_t) > 1 there is an earlier j whose colon u_j : u_t is a
-single variable dividing u_i : u_t.  Verification therefore precomputes, per
-position t, the set of variables arising as degree-one colons against earlier
-generators, then scans all earlier generators; O(r^2 * n) overall.
+single variable dividing u_i : u_t.  The verifier finds those variables by
+looking up exchange neighbours (u_t x_v / x_w) and then tests each position
+with one OR of position bitmasks: O(r * n^2) dict lookups and O(r * n)
+big-int operations, not O(r^2 * n) exponent comparisons.
 
 The verifier and the search work on the exponent matrix
 ``PowerGenerators.exps`` directly (the verifier on its rows in the order's
@@ -24,7 +25,7 @@ operations on those masks and the prefix's mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,38 +116,65 @@ class LqReport:
     per_index_variables: tuple[frozenset[int], ...]
 
 
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit p set where row[p]."""
+    return [
+        int.from_bytes(b.tobytes(), "little")
+        for b in np.packbits(rows, axis=1, bitorder="little")
+    ]
+
+
 def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     """Check the ordering against the pairwise colon criterion.
 
     The witness, when present, is the first failing pair (lowest t, then
     lowest i); verification still finishes collecting the per-position
-    variable sets.
+    variable sets.  Positions with the same variable set share one frozenset.
+
+    V_t, the set of variables that are degree-one colons at position t, comes
+    from exchange neighbours: u_j : u_t = x_v exactly when u_j = u_t x_v / x_w.
+    Rows are keyed as mixed-radix ints, and each unordered neighbour pair is
+    looked up once; the later of the two gets the variable in which the
+    earlier is larger.  Position t then passes iff every earlier row exceeds
+    u_t in some variable of V_t, tested as one OR of position bitmasks.
     """
-    r = len(o)
-    if r <= 1:
-        return LqReport(True, None, (frozenset(),) * r)
     E = o.exps()
-    per_index: list[frozenset[int]] = [frozenset()]
+    r, n = E.shape
+    rows = E.tolist()
+    top = int(E.max(initial=0))
+    # Digits run to top + 1 so that a neighbour key never carries into the
+    # next variable's digit.
+    place = [(top + 2) ** v for v in range(n)]
+    keys = [sum(e * p for e, p in zip(row, place)) for row in rows]
+    position = dict(zip(keys, range(r)))
+    var_masks = [0] * r
+    for a, (row, key) in enumerate(zip(rows, keys)):
+        for w in range(1, n):
+            if row[w]:
+                for v in range(w):
+                    b = position.get(key + place[v] - place[w])
+                    if b is None:
+                        continue
+                    if b < a:
+                        var_masks[a] |= 1 << v
+                    else:
+                        var_masks[b] |= 1 << w
+    # above[v][k]: the positions whose exponent of v exceeds k.
+    levels = np.arange(top + 1)[:, None]
+    above = [_bitmasks(E[:, v] > levels) for v in range(n)]
+    shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
     witness: LqWitness | None = None
     for t in range(1, r):
-        C = E[:t] - E[t]
-        np.maximum(C, 0, out=C)
-        degs = C.sum(axis=1)
-        var_rows = np.nonzero(degs == 1)[0]
-        vars_t = frozenset(int(C[j].argmax()) for j in var_rows)
-        per_index.append(vars_t)
-        if witness is not None:
-            continue
-        bad = degs > 1
-        if bad.any():
-            if vars_t:
-                cols = sorted(vars_t)
-                bad &= C[:, cols].max(axis=1) == 0
-            failing = np.nonzero(bad)[0]
-            if failing.size:
-                i = int(failing[0])
-                witness = LqWitness(t, i, Monomial(C[i]))
-    return LqReport(witness is None, witness, tuple(per_index))
+        row = rows[t]
+        cover = 0
+        for v in shared[var_masks[t]]:
+            cover |= above[v][row[v]]
+        missing = ~cover & ((1 << t) - 1)
+        if missing:
+            i = (missing & -missing).bit_length() - 1
+            witness = LqWitness(t, i, Monomial(np.maximum(E[i] - E[t], 0)))
+            break
+    return LqReport(witness is None, witness, tuple(shared[m] for m in var_masks))
 
 
 def colon_min_gens(o: GeneratorOrdering, t: int) -> list[Monomial]:
@@ -179,20 +207,8 @@ class SearchResult:
         return self.status == "found"
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 # (wide, units) of one candidate; see ``_colon_tables``.
 _Tables = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def _bitmasks(rows: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int with bit p set where row[p]."""
-    return [
-        int.from_bytes(b.tobytes(), "little")
-        for b in np.packbits(rows, axis=1, bitorder="little")
-    ]
 
 
 def _colon_tables(E: np.ndarray, c: int) -> _Tables:
@@ -241,7 +257,8 @@ def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     The first time a candidate is tested, ``_colon_tables`` computes its
     colons against every generator in one numpy pass; each later test against
     a prefix is a few int operations (``_extends``).  The tables live for one
-    call.
+    call.  The tree is walked with an explicit stack, so the depth (one level
+    per generator) is not bounded by Python's recursion limit.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -251,40 +268,48 @@ def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     E = pg.exps
     supports = _bitmasks(E > 0)
     tables: list[_Tables | None] = [None] * r
-    prefix: list[int] = []
-    nodes = 0
-    backtracks = 0
 
-    def dfs(mask: int, support: int) -> bool:
-        nonlocal nodes, backtracks
-        if len(prefix) == r:
-            return True
+    def candidates(mask: int, support: int) -> Iterator[int]:
+        # sorted is stable and the candidates come in index order, so ties
+        # on shared support stay in index order.
         order = sorted(
             (c for c in range(r) if not mask >> c & 1),
-            key=lambda c: (-(supports[c] & support).bit_count(), c),
+            key=lambda c: -(supports[c] & support).bit_count(),
         )
-        for c in order:
+        return iter(order)
+
+    # The current prefix is (prefix, mask, support) with its untried
+    # candidates; ``stack`` holds the same for each shorter prefix.
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    prefix: list[int] = []
+    mask = support = 0
+    untried = candidates(0, 0)
+    nodes = 0
+    backtracks = 0
+    while True:
+        for c in untried:
             if tables[c] is None:
                 tables[c] = _colon_tables(E, c)
-            if not _extends(tables[c], mask):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExhausted
-            prefix.append(c)
-            if dfs(mask | 1 << c, support | supports[c]):
-                return True
+            if _extends(tables[c], mask):
+                break
+        else:
+            if not stack:
+                return SearchResult("none", None, nodes, backtracks)
+            mask, support, untried = stack.pop()
             prefix.pop()
             backtracks += 1
-        return False
-
-    try:
-        if dfs(0, 0):
+            continue
+        nodes += 1
+        if nodes > budget:
+            return SearchResult("unknown", None, nodes, backtracks)
+        prefix.append(c)
+        if len(prefix) == r:
             ordering = GeneratorOrdering(pg, tuple(prefix), "search")
             return SearchResult("found", ordering, nodes, backtracks)
-        return SearchResult("none", None, nodes, backtracks)
-    except _BudgetExhausted:
-        return SearchResult("unknown", None, nodes, backtracks)
+        stack.append((mask, support, untried))
+        mask |= 1 << c
+        support |= supports[c]
+        untried = candidates(mask, support)
 
 
 def _require_verified(o: GeneratorOrdering, what: str) -> None:

@@ -109,3 +109,11 @@ def test_budget_exhaustion_names_the_budget():
     report = check_theorem64_premises(c5(), budget=1)
     assert report["computed"][2] == want
     assert report["holds_through"] is None
+    assert "first_failure_q" not in report  # nothing failed; the search stopped
+
+
+def test_theorem64_cap_hit_reports_no_failure():
+    report = check_theorem64_premises(c5(), cap=3)
+    assert report["computed"][2]["verdict"] == "unknown"
+    assert report["holds_through"] is None and report["implied"] is None
+    assert "first_failure_q" not in report

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
+import json
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -31,7 +34,12 @@ from linquo.linquot import (
     verify_linear_quotients,
 )
 from linquo.monomials import from_vars
-from linquo.orderings import efficient_ordering
+from linquo.orderings import (
+    auto_edge_order,
+    compatible_orders,
+    efficient_ordering,
+    pure_power_edge_sequence,
+)
 from linquo.power_ideals import edge_ideal, power_generators
 
 A, B, C, D, E = range(5)
@@ -354,3 +362,122 @@ def test_extension_check_matches_colon_min_gens():
         mins = colon_min_gens(GeneratorOrdering(pg, tuple(seq)), t)
         want = all(m.degree() == 1 for m in mins)
         assert _extends(_colon_tables(pg.exps, c), mask) == want
+
+
+def reference_verify(o):
+    """The pairwise colon criterion, one pair at a time.
+
+    Returns (passed, witness as (t, i, colon exponents) or None, the set of
+    degree-one colon variables at every position).
+    """
+    rows = o.exps().tolist()
+    per_index = []
+    witness = None
+    for t, ut in enumerate(rows):
+        colons = [tuple(max(a - b, 0) for a, b in zip(ui, ut)) for ui in rows[:t]]
+        vars_t = {c.index(1) for c in colons if sum(c) == 1}
+        per_index.append(vars_t)
+        if witness is None:
+            for i, c in enumerate(colons):
+                if sum(c) > 1 and not any(c[v] for v in vars_t):
+                    witness = (t, i, c)
+                    break
+    return witness is None, witness, per_index
+
+
+def _report_fields(rep):
+    w = rep.witness
+    return (
+        rep.passed,
+        None if w is None else (w.t, w.i, w.colon.exps),
+        [set(s) for s in rep.per_index_variables],
+    )
+
+
+def test_verifier_matches_pairwise_reference():
+    # Random orders fail early.  Perturbed found orders fail later or not at
+    # all: an adjacent swap fails, if at all, where it is made; moving a
+    # generator from the later half to the end mostly fails late.  All must
+    # agree with the reference at every position.
+    rng = random.Random(43)
+    orders = 0
+    failed = 0
+    late = 0
+    while orders < 400:
+        n = rng.randint(2, 6)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        if not g.edges:
+            continue
+        pg = power_generators(edge_ideal(g), rng.randint(1, 3))
+        if pg.count > 60:
+            continue
+        seq = list(range(pg.count))
+        rng.shuffle(seq)
+        candidates = [seq]
+        found = find_lq_order(pg, budget=2000).ordering
+        if found is not None and pg.count > 1:
+            for _ in range(2):
+                swapped = list(found.sequence)
+                k = rng.randrange(pg.count - 1)
+                swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+                moved = list(found.sequence)
+                moved.append(moved.pop(rng.randrange(pg.count // 2, pg.count)))
+                candidates += [swapped, moved]
+        for s in candidates:
+            o = GeneratorOrdering(pg, tuple(s))
+            got = _report_fields(verify_linear_quotients(o))
+            assert got == reference_verify(o)
+            orders += 1
+            failed += not got[0]
+            late += not got[0] and got[1][0] > 2 * pg.count // 3
+    assert 0 < late < failed < orders
+
+
+def _fig4_cube():
+    o2 = ordering(fig4(), 2, FIG4_SQUARE)
+    return compatible_orders(fig4(), pure_power_edge_sequence(o2), o2, 3)
+
+
+def _c5k3_cube_from_transported_square():
+    o2 = ordering(fig2(), 2, FIG2_SQUARE)
+    for _ in range(2):
+        o2 = expansion_order(o2, 4)
+    g = o2.base.ideal.graph
+    return compatible_orders(g, auto_edge_order(g, o2)[0], o2, 3)
+
+
+# sha256 of the JSON of (passed, witness, per-position variables); a rewrite
+# of the verifier must leave every report unchanged.
+VERIFIER_PINS = [
+    (_fig4_cube, "59bec9fa1a692d259761572c54b727c9498c582c876e15a16e5e0a7e92457773"),
+    (
+        lambda: duplication_order(_fig4_cube(), 5),  # gamma7 = fig4 with z duplicated
+        "109ad1aa855d31c0e0a7b25acda08583fa0a68341b40163d4477b4431eed5df2",
+    ),
+    (
+        _c5k3_cube_from_transported_square,  # fails at (t, i) = (203, 113)
+        "c708fcbe0beed8cca6c231394a2a15ab2ad7ee0ff7e5fd206e39d3e2cf4979df",
+    ),
+]
+
+
+def test_verifier_reports_are_pinned():
+    for build, want in VERIFIER_PINS:
+        passed, witness, per_index = _report_fields(verify_linear_quotients(build()))
+        text = json.dumps([passed, witness, [sorted(s) for s in per_index]])
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_find_lq_order_depth_is_not_bounded_by_recursion():
+    # The search goes one level deeper per generator; c5 q=5 is found without
+    # backtracking, so its depth is the generator count.
+    pg = power_generators(edge_ideal(c5()), 5)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        res = find_lq_order(pg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.found and res.backtracks == 0
+    assert len(res.ordering) == pg.count > 50
