@@ -139,67 +139,37 @@ def is_gapfree(g: Graph) -> bool:
     return True
 
 
-def _induced_edge_count(g: Graph, verts: tuple[int, ...]) -> int:
-    adj = g.adj
-    return sum(1 for u, v in combinations(verts, 2) if v in adj[u])
-
-
 def contains_induced(g: Graph, pattern: str | Graph) -> bool:
     """True iff some vertex subset of ``g`` induces a copy of the pattern.
 
-    Subset-first enumeration: for each subset of the right size whose induced
-    edge count matches, try injective maps (as permutations of the subset).
-    Edges and non-edges must both match, which the edge-count filter plus
-    edge-only check guarantees.
+    The neighbourhoods of ``g`` are int bitmasks.  For each vertex subset of
+    the pattern's size, a filter compares the subset's sorted induced degrees
+    with the pattern's sorted degree sequence; only subsets that pass it are
+    confirmed by trying every bijection (as a permutation of the subset) that
+    maps the pattern's edges onto edges of ``g``.  Equal degree sequences give
+    equal edge counts, so such a bijection maps edges onto all induced edges
+    and non-edges onto non-edges: the copy is induced.
     """
     p = PATTERNS[pattern] if isinstance(pattern, str) else pattern
     k = p.n
     if g.n < k:
         return False
-    target = len(p.edges)
-    adj = g.adj
+    degrees = sorted(len(a) for a in p.adj)
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
     pedges = p.edges
     for subset in combinations(range(g.n), k):
-        if _induced_edge_count(g, subset) != target:
+        s = 0
+        for v in subset:
+            s |= 1 << v
+        if sorted([(nb[v] & s).bit_count() for v in subset]) != degrees:
             continue
         for perm in permutations(subset):
-            if all(perm[v] in adj[perm[u]] for u, v in pedges):
+            if all(nb[perm[u]] >> perm[v] & 1 for u, v in pedges):
                 return True
     return False
-
-
-def _contains_induced_extension(g: Graph, pattern: str | Graph) -> bool:
-    """Independent cross-check: extend a partial injective map vertex by
-    vertex, enforcing induced-adjacency equality at every step."""
-    p = PATTERNS[pattern] if isinstance(pattern, str) else pattern
-    k = p.n
-    if g.n < k:
-        return False
-    padj = p.adj
-    gadj = g.adj
-
-    def extend(mapped: list[int], used: set[int]) -> bool:
-        i = len(mapped)
-        if i == k:
-            return True
-        for cand in range(g.n):
-            if cand in used:
-                continue
-            ok = True
-            for j in range(i):
-                if (j in padj[i]) != (mapped[j] in gadj[cand]):
-                    ok = False
-                    break
-            if ok:
-                mapped.append(cand)
-                used.add(cand)
-                if extend(mapped, used):
-                    return True
-                mapped.pop()
-                used.discard(cand)
-        return False
-
-    return extend([], set())
 
 
 def is_cdcc(g: Graph) -> bool:

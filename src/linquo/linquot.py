@@ -268,15 +268,20 @@ def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
     E = pg.exps
     supports = _bitmasks(E > 0)
     tables: list[_Tables | None] = [None] * r
+    # support -> range(r) sorted by shared support.  The key depends on the
+    # support alone and sorted is stable, so ties stay in index order and
+    # dropping the prefix from the list keeps the order of the rest.
+    orders: dict[int, list[int]] = {}
 
     def candidates(mask: int, support: int) -> Iterator[int]:
-        # sorted is stable and the candidates come in index order, so ties
-        # on shared support stay in index order.
-        order = sorted(
-            (c for c in range(r) if not mask >> c & 1),
-            key=lambda c: -(supports[c] & support).bit_count(),
-        )
-        return iter(order)
+        order = orders.get(support)
+        if order is None:
+            order = orders[support] = sorted(
+                range(r), key=lambda c: -(supports[c] & support).bit_count()
+            )
+        for c in order:
+            if not mask >> c & 1:
+                yield c
 
     # The current prefix is (prefix, mask, support) with its untried
     # candidates; ``stack`` holds the same for each shorter prefix.

@@ -10,7 +10,6 @@ from linquo.graphs import (
     DIAMOND,
     Graph,
     PATTERNS,
-    _contains_induced_extension,
     complement,
     contains_induced,
     duplicate_vertex,
@@ -25,13 +24,15 @@ from linquo.graphs import (
     neighborhood,
     parse_graph,
 )
+from linquo.harness import all_labeled_graphs
 
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
-def random_small_graph(rng, max_n=7):
-    n = rng.randint(1, max_n)
+def random_small_graph(rng, max_n=7, min_n=1):
+    n = rng.randint(min_n, max_n)
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
 
 
@@ -97,12 +98,55 @@ def test_contains_induced_examples():
     assert contains_induced(CRICKET, "cricket")
 
 
+def contains_induced_extension(g, pattern):
+    """Independent cross-check: extend a partial injective map vertex by
+    vertex, enforcing induced-adjacency equality at every step."""
+    p = PATTERNS[pattern] if isinstance(pattern, str) else pattern
+    k = p.n
+    if g.n < k:
+        return False
+    padj = p.adj
+    gadj = g.adj
+
+    def extend(mapped, used):
+        i = len(mapped)
+        if i == k:
+            return True
+        for cand in range(g.n):
+            if cand in used:
+                continue
+            if all((j in padj[i]) == (mapped[j] in gadj[cand]) for j in range(i)):
+                mapped.append(cand)
+                used.add(cand)
+                if extend(mapped, used):
+                    return True
+                mapped.pop()
+                used.discard(cand)
+        return False
+
+    return extend([], set())
+
+
 def test_contains_induced_two_implementations_agree():
+    # P5 shares its degree sequence with K3 + K2, so only the permutation
+    # confirmation tells them apart; the other patterns are fixed by theirs.
+    patterns = {**PATTERNS, "2k2": two_k2(), "p5": P5}
+    hits_on_5 = dict.fromkeys(patterns, 0)
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            for name, p in patterns.items():
+                found = contains_induced(g, p)
+                assert found == contains_induced_extension(g, p), (g, name)
+                if n == 5:
+                    hits_on_5[name] += found
+    assert hits_on_5 == {
+        "cricket": 30, "diamond": 305, "c4": 190, "c5": 12, "2k2": 190, "p5": 60
+    }
     rng = random.Random(11)
     for _ in range(150):
-        g = random_small_graph(rng)
-        for name in PATTERNS:
-            assert contains_induced(g, name) == _contains_induced_extension(g, name)
+        g = random_small_graph(rng, min_n=6)
+        for p in patterns.values():
+            assert contains_induced(g, p) == contains_induced_extension(g, p), g
 
 
 def test_is_cdcc():
@@ -157,8 +201,7 @@ def test_chordal_against_bruteforce():
             assert is_chordal(g) == (not has_chordless_cycle(g))
     rng = random.Random(13)
     for _ in range(200):
-        n = rng.randint(6, 7)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        g = random_small_graph(rng, min_n=6)
         assert is_chordal(g) == (not has_chordless_cycle(g))
 
 

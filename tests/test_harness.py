@@ -1,10 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
+from linquo import harness
 from linquo.fixtures import c5, fig4, gamma7, two_k2
-from linquo.graphs import Graph
+from linquo.graphs import Graph, is_cdcc
 from linquo.harness import (
     all_labeled_graphs,
     canonical_form,
@@ -117,3 +118,18 @@ def test_theorem64_cap_hit_reports_no_failure():
     assert report["computed"][2]["verdict"] == "unknown"
     assert report["holds_through"] is None and report["implied"] is None
     assert "first_failure_q" not in report
+
+
+def test_classify_graph_cdcc_matches_is_cdcc():
+    for g in [*all_labeled_graphs(5), gamma7()]:
+        assert classify_graph(g)["cdcc"] == is_cdcc(g)
+
+
+def test_repro_cdcc6_counts_the_graphs(monkeypatch):
+    def first_100(n):
+        return islice(all_labeled_graphs(n), 100)
+
+    monkeypatch.setattr(harness, "all_labeled_graphs", first_100)
+    report = harness.repro_cdcc6()
+    assert not report["passed"]
+    assert report["checks"][0]["graphs"] == 100

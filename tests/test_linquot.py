@@ -3,6 +3,7 @@ import inspect
 import json
 import random
 import sys
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -481,3 +482,17 @@ def test_find_lq_order_depth_is_not_bounded_by_recursion():
         sys.setrecursionlimit(limit)
     assert res.found and res.backtracks == 0
     assert len(res.ordering) == pg.count > 50
+
+
+def test_find_lq_order_memory_does_not_grow_with_depth_squared():
+    # c5 q=8 (r=495) is found without backtracking; one candidate list per
+    # prefix length held about 4 MB at this depth.
+    pg = power_generators(edge_ideal(c5()), 8)
+    tracemalloc.start()
+    try:
+        res = find_lq_order(pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.found and len(res.ordering) == 495
+    assert peak < 2_000_000
