@@ -15,7 +15,6 @@ from .graphs import (
     is_gapfree,
     is_independent,
     matching_number,
-    neighborhood,
 )
 from .linquot import (
     ExpansionContext,
@@ -30,7 +29,6 @@ from .linquot import (
     expansion_context,
     expansion_order,
     find_lq_order,
-    mu,
     ordering_from_multisets,
     verify_linear_quotients,
 )

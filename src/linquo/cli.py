@@ -2,6 +2,17 @@
 
 Exit codes: 0 success or verified pass; 1 verified failure or rejection;
 2 usage error or malformed input; 3 budget or cap exhausted.
+
+A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
+``find-order``, ``verify``, the order constructions, ``compatible-orders``
+with a searched square and ``thm64`` (the verdict of the last power it
+computed):
+
+    verdict   meaning                                          exit
+    yes       an order found or built, and verified            0
+    no        the search tree exhausted: no order exists       1
+    fail      a given or built order fails the verifier        1
+    unknown   the node budget or the multiset cap ran out      3
 """
 
 from __future__ import annotations
@@ -18,7 +29,6 @@ from .linquot import (
     OrderingPreconditionError,
     duplication_order,
     expansion_order,
-    find_lq_order,
     verify_linear_quotients,
 )
 from .monomials import Monomial
@@ -29,9 +39,10 @@ from .orderings import (
     efficient_ordering,
     is_admissible,
 )
-from .power_ideals import CapExceeded, edge_ideal, power_generators
+from .power_ideals import DEFAULT_CAP, CapExceeded, edge_ideal, power_generators
 
 PASS, FAIL, USAGE, BUDGET = 0, 1, 2, 3
+VERDICT_EXIT = {"yes": PASS, "no": FAIL, "fail": FAIL, "unknown": BUDGET}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--budget", type=int, default=harness.DEFAULT_BUDGET, help="search node budget")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap on edge multisets")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap on edge multisets")
     sub = p.add_subparsers(dest="command", required=True)
 
     def graph_arg(sp):
@@ -51,7 +62,6 @@ def _parser() -> argparse.ArgumentParser:
     graph_arg(sp)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--list", action="store_true", help="include generators in the output")
-    sp.add_argument("--count-only", action="store_true")
 
     sp = sub.add_parser("verify", help="verify a generator order")
     graph_arg(sp)
@@ -101,7 +111,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="classify and search all small graphs")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q-max", type=int, default=2)
-    sp.add_argument("--no-dedup", action="store_true", help="scan labeled graphs without isomorphism dedup")
 
     sp = sub.add_parser("thm64", help="verify the bounded tower of compatible orders")
     graph_arg(sp)
@@ -142,24 +151,28 @@ def _witness_json(report, names) -> dict | None:
     return {"t": w.t, "i": w.i, "colon": w.colon.format(names), "colon_exps": list(w.colon.exps)}
 
 
-def _print_order(o, as_json: bool, emit: str | None) -> None:
-    if as_json:
-        _emit(json.dumps({"order": [list(ms) for ms in o.multisets()]}, indent=2) + "\n", emit)
+def _print_verified(o, args) -> int:
+    """Print a constructed order and exit with the verifier's verdict on it."""
+    passed = verify_linear_quotients(o).passed
+    if args.json:
+        _emit(json.dumps({"order": [list(ms) for ms in o.multisets()]}, indent=2) + "\n", args.emit)
     else:
-        _emit(fixtures.format_order(o), emit)
+        _emit(fixtures.format_order(o), args.emit)
+    return VERDICT_EXIT["yes" if passed else "fail"]
 
 
-def _cap(args) -> int:
-    from .power_ideals import DEFAULT_CAP
-
-    return args.cap if args.cap is not None else DEFAULT_CAP
+def _not_found(record: dict, budget: int) -> str:
+    """What a search that gave no order reports on stderr."""
+    if "nodes" not in record:
+        return f"cap exceeded: {record['reason']}"
+    return f"{record['verdict']} after {record['nodes']} nodes (budget {budget})"
 
 
 def _cmd_powers(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.q, _cap(args))
+    pg = power_generators(edge_ideal(g), args.q, args.cap)
     out: dict = {"q": args.q, "count": pg.count}
-    if args.list and not args.count_only:
+    if args.list:
         names = g.vertex_names()
         out["gens"] = [
             {
@@ -175,7 +188,7 @@ def _cmd_powers(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.q, _cap(args))
+    pg = power_generators(edge_ideal(g), args.q, args.cap)
     o = fixtures.resolve_order(args.order, pg)
     t0 = time.perf_counter()
     report = verify_linear_quotients(o)
@@ -185,35 +198,26 @@ def _cmd_verify(args) -> int:
         "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
     }
     print(json.dumps(out, indent=2))
-    return PASS if report.passed else FAIL
+    return VERDICT_EXIT["yes" if report.passed else "fail"]
 
 
 def _cmd_find_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.q, _cap(args))
-    res = find_lq_order(pg, args.budget)
+    record, o = harness.search_verdict(g, args.q, args.budget, args.cap)
     if args.json:
-        out = {"status": res.status, "nodes": res.nodes, "backtracks": res.backtracks}
-        if res.found:
-            out["order"] = [list(ms) for ms in res.ordering.multisets()]
-        print(json.dumps(out, indent=2))
-    elif res.found:
-        _emit(fixtures.format_order(res.ordering), args.emit)
+        print(json.dumps(record, indent=2))
+    elif o is not None:
+        _emit(fixtures.format_order(o), args.emit)
     else:
-        print(f"{res.status} after {res.nodes} nodes (budget {args.budget})", file=sys.stderr)
-    if res.status == "found":
-        return PASS
-    return FAIL if res.status == "none" else BUDGET
+        print(_not_found(record, args.budget), file=sys.stderr)
+    return VERDICT_EXIT[record["verdict"]]
 
 
 def _cmd_efficient_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.base_q, _cap(args))
+    pg = power_generators(edge_ideal(g), args.base_q, args.cap)
     base = fixtures.resolve_order(args.base_order, pg)
-    o = efficient_ordering(base, args.s, _cap(args))
-    ok = verify_linear_quotients(o).passed
-    _print_order(o, args.json, args.emit)
-    return PASS if ok else FAIL
+    return _print_verified(efficient_ordering(base, args.s, args.cap), args)
 
 
 def _cmd_admissible_order(args) -> int:
@@ -240,58 +244,38 @@ def _resolve_edge_order(g, token: str, o2) -> tuple[int, ...]:
 
 def _cmd_compatible_orders(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg2 = power_generators(edge_ideal(g), 2, _cap(args))
     if args.i2_order == "auto":
-        res = find_lq_order(pg2, args.budget)
-        if not res.found:
-            print(
-                f"no square order: {res.status} after {res.nodes} nodes (budget {args.budget})",
-                file=sys.stderr,
-            )
-            return FAIL if res.status == "none" else BUDGET
-        o2 = res.ordering
+        record, o2 = harness.search_verdict(g, 2, args.budget, args.cap)
+        if o2 is None:
+            print(f"no square order: {_not_found(record, args.budget)}", file=sys.stderr)
+            return VERDICT_EXIT[record["verdict"]]
     else:
+        pg2 = power_generators(edge_ideal(g), 2, args.cap)
         o2 = fixtures.resolve_order(args.i2_order, pg2)
     eo = _resolve_edge_order(g, args.edge_order, o2)
-    o = compatible_orders(g, eo, o2, args.q, _cap(args))
-    ok = verify_linear_quotients(o).passed
-    _print_order(o, args.json, args.emit)
-    return PASS if ok else FAIL
+    return _print_verified(compatible_orders(g, eo, o2, args.q, args.cap), args)
 
 
-def _cmd_duplicate(args) -> int:
+def _cmd_transport(args) -> int:
+    """``duplicate`` and ``expand``: the new graph, or with ``--order`` the
+    order transported to the same power of its edge ideal."""
     g = fixtures.resolve_graph(args.graph)
     x = _vertex(g, args.vertex)
+    expand = args.command == "expand"
     if args.order is None:
-        _emit(format_graph(duplicate_vertex(g, x)), args.emit)
+        new_graph = expand_vertex if expand else duplicate_vertex
+        _emit(format_graph(new_graph(g, x)), args.emit)
         return PASS
     if args.q is None:
         raise ValueError("--order needs --q")
-    pg = power_generators(edge_ideal(g), args.q, _cap(args))
+    pg = power_generators(edge_ideal(g), args.q, args.cap)
     o = fixtures.resolve_order(args.order, pg)
-    out = duplication_order(o, x, _cap(args))
-    ok = verify_linear_quotients(out).passed
-    _print_order(out, args.json, args.emit)
-    return PASS if ok else FAIL
-
-
-def _cmd_expand(args) -> int:
-    g = fixtures.resolve_graph(args.graph)
-    x = _vertex(g, args.vertex)
-    if args.order is None:
-        _emit(format_graph(expand_vertex(g, x)), args.emit)
-        return PASS
-    if args.q is None:
-        raise ValueError("--order needs --q")
-    pg = power_generators(edge_ideal(g), args.q, _cap(args))
-    o = fixtures.resolve_order(args.order, pg)
+    if not expand:
+        return _print_verified(duplication_order(o, x, args.cap), args)
     b_order = None
     if args.b_order:
         b_order = tuple(int(t) for t in args.b_order.replace(",", " ").split())
-    out = expansion_order(o, x, b_order, _cap(args))
-    ok = verify_linear_quotients(out).passed
-    _print_order(out, args.json, args.emit)
-    return PASS if ok else FAIL
+    return _print_verified(expansion_order(o, x, b_order, args.cap), args)
 
 
 def _cmd_classify(args) -> int:
@@ -301,9 +285,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = harness.scan_small_graphs(
-        args.n, args.q_max, args.budget, dedup=not args.no_dedup, cap=_cap(args)
-    )
+    records = harness.scan_small_graphs(args.n, args.q_max, args.budget, args.cap)
     print(json.dumps(records, indent=2))
     return PASS
 
@@ -312,22 +294,17 @@ def _cmd_thm64(args) -> int:
     g = fixtures.resolve_graph(args.graph)
     o2 = None
     if args.i2_order:
-        pg2 = power_generators(edge_ideal(g), 2, _cap(args))
+        pg2 = power_generators(edge_ideal(g), 2, args.cap)
         o2 = fixtures.resolve_order(args.i2_order, pg2)
-    report = harness.check_theorem64_premises(
-        g, args.budget, args.q_through, _cap(args), o2
-    )
+    report = harness.check_theorem64_premises(g, args.budget, args.q_through, args.cap, o2)
     print(json.dumps(report, indent=2))
-    if report["holds_through"] == args.q_through:
-        return PASS
-    computed = report["computed"]
-    if any(v.get("verdict") == "unknown" for v in computed.values()):
-        return BUDGET
-    return FAIL
+    # The tower stops at its first power that is not "yes".
+    last = list(report["computed"].values())[-1]
+    return VERDICT_EXIT[last["verdict"]]
 
 
 def _cmd_repro(args) -> int:
-    reports, ok = harness.run_repro(args.names or None, args.budget, _cap(args))
+    reports, ok = harness.run_repro(args.names, args.budget, args.cap)
     if args.json:
         print(json.dumps(reports, indent=2))
     else:
@@ -348,8 +325,8 @@ _COMMANDS = {
     "efficient-order": _cmd_efficient_order,
     "admissible-order": _cmd_admissible_order,
     "compatible-orders": _cmd_compatible_orders,
-    "duplicate": _cmd_duplicate,
-    "expand": _cmd_expand,
+    "duplicate": _cmd_transport,
+    "expand": _cmd_transport,
     "classify": _cmd_classify,
     "scan": _cmd_scan,
     "thm64": _cmd_thm64,

@@ -7,7 +7,6 @@ that edge index j corresponds to edge e_{j+1} of the relevant display.
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 
@@ -95,22 +94,15 @@ def named_graph(name: str) -> Graph:
 
 
 def resolve_graph(source: str) -> Graph:
-    """Resolve a CLI graph argument: a path, a file in LINQUO_FIXTURES, or a
-    built-in fixture name (the environment directory shadows built-ins)."""
+    """Resolve a CLI graph argument: a graph file path or a built-in fixture name."""
     p = Path(source)
     if p.is_file():
         return parse_graph(p.read_text())
-    override = os.environ.get("LINQUO_FIXTURES")
-    if override:
-        for candidate in (Path(override) / source, Path(override) / f"{source}.graph"):
-            if candidate.is_file():
-                return parse_graph(candidate.read_text())
     try:
         return named_graph(source)
     except KeyError:
         raise ValueError(
-            f"cannot resolve graph {source!r}: not a file, not in LINQUO_FIXTURES, "
-            "and not a built-in fixture"
+            f"cannot resolve graph {source!r}: not a file and not a built-in fixture"
         ) from None
 
 

@@ -99,14 +99,6 @@ PATTERNS: dict[str, Graph] = {
 }
 
 
-def neighborhood(g: Graph, x: int, closed: bool = False) -> frozenset[int]:
-    """Open or closed neighborhood of ``x``."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    nb = g.adj[x]
-    return nb | {x} if closed else nb
-
-
 def is_independent(g: Graph, w: Iterable[int]) -> bool:
     """True iff no edge of ``g`` has both endpoints in ``w``."""
     ws = set(w)

@@ -2,9 +2,10 @@
 bounded-power premise checker, and the reproduction suite behind the
 ``repro`` subcommand.
 
-Every reported "yes" verdict carries an order that was re-verified before the
-record was written; theorem-implied conclusions are reported in a separate
-field from computed facts.
+Every search verdict comes from ``search_verdict``: a "yes" carries an order
+that was re-verified before the record was written, a "no" an exhausted
+search, and an "unknown" the budget or cap that ran out.  Theorem-implied
+conclusions are reported in a separate field from computed facts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .graphs import (
     matching_number,
 )
 from .linquot import (
+    DEFAULT_BUDGET,
     GeneratorOrdering,
     NotGapfree,
     OrderingPreconditionError,
@@ -35,8 +37,6 @@ from .linquot import (
 )
 from .orderings import auto_edge_order, compatible_orders, efficient_ordering
 from .power_ideals import CapExceeded, DEFAULT_CAP, edge_ideal, power_generators
-
-DEFAULT_BUDGET = 10**6
 
 
 def all_labeled_graphs(n: int):
@@ -85,51 +85,52 @@ def classify_graph(g: Graph) -> dict:
     }
 
 
-def _unfound(res, budget: int) -> dict:
-    """The record of a search that found no order: "no" when the tree was
-    exhausted, "unknown" with the budget that ran out otherwise."""
-    if res.status == "none":
-        return {"verdict": "no", "nodes": res.nodes}
-    return {
-        "verdict": "unknown",
-        "nodes": res.nodes,
-        "reason": f"budget of {budget} nodes exhausted",
-    }
+def search_verdict(
+    g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP
+) -> tuple[dict, GeneratorOrdering | None]:
+    """The order search's verdict on I(G)^q, and the order when one was found.
 
-
-def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP) -> dict:
-    """Search verdict for one power, with the found order re-verified."""
+    A cap hit or a spent node budget gives "unknown" with the reason, an
+    exhausted search tree gives "no", and a found order gives "yes" only after
+    it has been re-verified.
+    """
     try:
         pg = power_generators(edge_ideal(g), q, cap)
     except CapExceeded as e:
-        return {"verdict": "unknown", "reason": str(e)}
+        return {"verdict": "unknown", "reason": str(e)}, None
     res = find_lq_order(pg, budget)
-    if res.status == "found":
-        report = verify_linear_quotients(res.ordering)
-        if not report.passed:
-            raise AssertionError("search returned an order that fails verification")
-        return {
-            "verdict": "yes",
-            "order": [list(ms) for ms in res.ordering.multisets()],
-            "nodes": res.nodes,
-            "backtracks": res.backtracks,
-        }
-    return _unfound(res, budget)
+    if res.status == "none":
+        return {"verdict": "no", "nodes": res.nodes}, None
+    if res.status == "unknown":
+        reason = f"budget of {budget} nodes exhausted"
+        return {"verdict": "unknown", "nodes": res.nodes, "reason": reason}, None
+    if not verify_linear_quotients(res.ordering).passed:
+        raise AssertionError("search returned an order that fails verification")
+    record = {
+        "verdict": "yes",
+        "order": [list(ms) for ms in res.ordering.multisets()],
+        "nodes": res.nodes,
+        "backtracks": res.backtracks,
+    }
+    return record, res.ordering
+
+
+def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP) -> dict:
+    """The record of ``search_verdict``: the verdict on one power."""
+    return search_verdict(g, q, budget, cap)[0]
 
 
 def scan_small_graphs(
     n: int,
     q_max: int,
     budget: int = DEFAULT_BUDGET,
-    dedup: bool = True,
     cap: int = DEFAULT_CAP,
 ) -> list[dict]:
-    """Classify and search every (or one per class) graph on n vertices."""
+    """Classify and search one graph per isomorphism class on n vertices."""
     if n > 7:
         raise ValueError("scan is desk-scale only (n <= 7)")
-    source = nonisomorphic_graphs(n) if dedup else all_labeled_graphs(n)
     results = []
-    for g in source:
+    for g in nonisomorphic_graphs(n):
         record = {
             "edges": [list(e) for e in g.edges],
             "gapfree": is_gapfree(g),
@@ -157,30 +158,23 @@ def check_theorem64_premises(
     peel construction otherwise), then constructs and verifies the compatible
     order of every power up to q_through.  When the tower holds through 7, all
     later powers inherit linear quotients; that conclusion is reported under
-    ``implied``, separate from what was computed.
+    ``implied``, separate from what was computed.  ``q_through`` below 2
+    raises ValueError: the tower starts at the square.
     """
+    if q_through < 2:
+        raise ValueError(f"q_through must be at least 2, got {q_through}")
     report: dict = {"n": g.n, "edges": [list(e) for e in g.edges], "computed": {}}
     if o2 is None:
-        try:
-            pg2 = power_generators(edge_ideal(g), 2, cap)
-        except CapExceeded as e:
-            report["computed"][2] = {"verdict": "unknown", "reason": str(e)}
-            report["holds_through"] = None
-            report["implied"] = None
-            return report
-        res = find_lq_order(pg2, budget)
-        if res.status != "found":
-            report["computed"][2] = _unfound(res, budget)
-            if res.status == "none":
+        record, o2 = search_verdict(g, 2, budget, cap)
+        if o2 is None:
+            report["computed"][2] = record
+            if record["verdict"] == "no":
                 report["first_failure_q"] = 2
             report["holds_through"] = None
             report["implied"] = None
             return report
-        o2 = res.ordering
-    else:
-        rep2 = verify_linear_quotients(o2)
-        if not rep2.passed:
-            raise OrderingPreconditionError("supplied square order fails verification")
+    elif not verify_linear_quotients(o2).passed:
+        raise OrderingPreconditionError("supplied square order fails verification")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}
     eo, report["edge_order_source"] = auto_edge_order(g, o2)
     report["edge_order"] = list(eo)
@@ -216,50 +210,27 @@ def check_theorem64_premises(
 # ---------------------------------------------------------------------------
 
 
-def _check(checks: list, name: str, ok: bool, **detail) -> bool:
-    entry = {"check": name, "ok": bool(ok)}
-    entry.update(detail)
-    checks.append(entry)
-    return bool(ok)
-
-
-def _finish(name: str, checks: list, t0: float) -> dict:
-    return {
-        "name": name,
-        "passed": all(c["ok"] for c in checks),
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-        "checks": checks,
-    }
-
-
-def repro_istanbul(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_istanbul(check, budget: int, cap: int) -> None:
     pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
-    _check(checks, "square has 15 generators", pg.count == 15, count=pg.count)
+    check("square has 15 generators", pg.count == 15, count=pg.count)
     for name in ("istanbul", "istanbul-alt"):
         o = fixtures.builtin_order(name, pg)
         rep = verify_linear_quotients(o)
-        _check(checks, f"{name} order verifies", rep.passed)
-    return _finish("istanbul", checks, t0)
+        check(f"{name} order verifies", rep.passed)
 
 
-def repro_pentagon_powers(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_pentagon_powers(check, budget: int, cap: int) -> None:
     pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
     base = fixtures.builtin_order("istanbul", pg)
     for s in (3, 4, 5, 6):
         o = efficient_ordering(base, s, cap)
         rep = verify_linear_quotients(o)
         want = comb(s + 4, 4)
-        _check(
-            checks,
+        check(
             f"power {s}: {want} generators, order verifies",
             len(o) == want and rep.passed,
             count=len(o),
         )
-    return _finish("pentagon-powers", checks, t0)
 
 
 def _coincidence_classes(pg) -> list[list[list[int]]]:
@@ -270,51 +241,43 @@ def _coincidence_classes(pg) -> list[list[list[int]]]:
     ]
 
 
-def repro_fig2(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_fig2(check, budget: int, cap: int) -> None:
     pg = power_generators(edge_ideal(fixtures.fig2()), 2, cap)
-    _check(checks, "square has 34 generators", pg.count == 34, count=pg.count)
+    check("square has 34 generators", pg.count == 34, count=pg.count)
     merged = {frozenset(map(tuple, cls)) for cls in _coincidence_classes(pg)}
     expected = {
         frozenset({(1, 5), (3, 6)}),  # (ax)(pz) = (ap)(xz)
         frozenset({(2, 7), (4, 6)}),  # (bx)(qz) = (bq)(xz)
     }
-    _check(checks, "exactly the two expected coincidences", merged == expected)
+    check("exactly the two expected coincidences", merged == expected)
     o2 = fixtures.builtin_order("fig2", pg)
-    _check(checks, "square order verifies", verify_linear_quotients(o2).passed)
+    check("square order verifies", verify_linear_quotients(o2).passed)
     for s in (3, 4):
         o = efficient_ordering(o2, s, cap)
         rep = verify_linear_quotients(o)
-        _check(checks, f"power {s} order verifies", rep.passed, count=len(o))
-    return _finish("fig2", checks, t0)
+        check(f"power {s} order verifies", rep.passed, count=len(o))
 
 
-def repro_fig4(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_fig4(check, budget: int, cap: int) -> None:
     pg = power_generators(edge_ideal(fixtures.fig4()), 2, cap)
-    _check(checks, "square has 42 generators", pg.count == 42, count=pg.count)
+    check("square has 42 generators", pg.count == 42, count=pg.count)
     merged = {frozenset(map(tuple, cls)) for cls in _coincidence_classes(pg)}
     expected = {
         frozenset({(0, 5), (1, 3)}),  # (ab)(xp) = (ap)(bx)
         frozenset({(0, 6), (2, 4)}),  # (ab)(xq) = (ax)(bq)
         frozenset({(5, 8), (6, 7)}),  # (xp)(qz) = (xq)(pz)
     }
-    _check(checks, "exactly the three expected coincidences", merged == expected)
+    check("exactly the three expected coincidences", merged == expected)
     o2 = fixtures.builtin_order("fig4", pg)
-    _check(checks, "square order verifies", verify_linear_quotients(o2).passed)
+    check("square order verifies", verify_linear_quotients(o2).passed)
     o3 = efficient_ordering(o2, 3, cap)
-    _check(checks, "cube order verifies", verify_linear_quotients(o3).passed, count=len(o3))
-    return _finish("fig4", checks, t0)
+    check("cube order verifies", verify_linear_quotients(o3).passed, count=len(o3))
 
 
-def repro_gamma7(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_gamma7(check, budget: int, cap: int) -> None:
     g7 = fixtures.gamma7()
-    _check(checks, "gamma7 is CDCC", is_cdcc(g7))
-    _check(checks, "gamma7 matching number is 3", matching_number(g7) == 3)
+    check("gamma7 is CDCC", is_cdcc(g7))
+    check("gamma7 matching number is 3", matching_number(g7) == 3)
     pg4 = power_generators(edge_ideal(fixtures.fig4()), 2, cap)
     o2 = fixtures.builtin_order("fig4", pg4)
     o3 = efficient_ordering(o2, 3, cap)
@@ -326,43 +289,35 @@ def repro_gamma7(cap: int = DEFAULT_CAP, **_) -> dict:
             o = duplication_order(o, vertex, cap)
             graph = o.base.ideal.graph
             rep = verify_linear_quotients(o)
-            _check(
-                checks,
+            check(
                 f"power {q}, {graph.n} vertices: duplicated order verifies and CDCC holds",
                 rep.passed and is_cdcc(graph),
                 count=len(o),
             )
             vertex = graph.n - 1
-    return _finish("gamma7", checks, t0)
 
 
-def repro_cdcc6(**_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_cdcc6(check, budget: int, cap: int) -> None:
     examined = hits = 0
     for g in all_labeled_graphs(6):
         examined += 1
         hits += is_cdcc(g)
-    _check(
-        checks,
+    check(
         "no CDCC graph among all 32768 on 6 vertices",
         examined == 32768 and hits == 0,
         graphs=examined,
         hits=hits,
     )
-    return _finish("cdcc6", checks, t0)
 
 
-def repro_expansion(budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_expansion(check, budget: int, cap: int) -> None:
     p3 = Graph(3, [(0, 1), (1, 2)], labels=("a", "x", "b"))
     cases = [("path a-x-b at x", p3, 1, (1, 2)), ("fig2 at x", fixtures.fig2(), 4, (2,))]
     for label, g, x, ss in cases:
         for s in ss:
             pg = power_generators(edge_ideal(g), s, cap)
             res = find_lq_order(pg, budget)
-            if not _check(checks, f"{label}, power {s}: base order found", res.found):
+            if not check(f"{label}, power {s}: base order found", res.found):
                 continue
             ctx = expansion_context(g, x, s, cap=cap)
             b_orders = list(permutations(ctx.B)) or [()]
@@ -370,8 +325,7 @@ def repro_expansion(budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP, **_) -
             for b in b_orders:
                 o = expansion_order(res.ordering, x, b, cap)
                 ok = ok and verify_linear_quotients(o).passed
-            _check(
-                checks,
+            check(
                 f"{label}, power {s}: expansion order verifies for all {len(b_orders)} B-orders",
                 ok,
             )
@@ -382,19 +336,15 @@ def repro_expansion(budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP, **_) -
         rejected = False
     except NotGapfree:
         rejected = True
-    _check(checks, "expansion with a non-independent exterior is rejected", rejected)
-    return _finish("expansion", checks, t0)
+    check("expansion with a non-independent exterior is rejected", rejected)
 
 
-def repro_thm64_c5(cap: int = DEFAULT_CAP, **_) -> dict:
-    t0 = time.perf_counter()
-    checks: list[dict] = []
+def repro_thm64_c5(check, budget: int, cap: int) -> None:
     g = fixtures.c5()
     pg = power_generators(edge_ideal(g), 2, cap)
     o2 = fixtures.builtin_order("istanbul", pg)
     report = check_theorem64_premises(g, q_through=7, cap=cap, o2=o2)
-    _check(
-        checks,
+    check(
         "compatible orders verify for powers 3..7",
         report["holds_through"] == 7,
         computed={str(k): v for k, v in report["computed"].items()},
@@ -402,13 +352,11 @@ def repro_thm64_c5(cap: int = DEFAULT_CAP, **_) -> dict:
     eo = tuple(report["edge_order"])
     o8 = compatible_orders(g, eo, o2, 8, cap)
     rep8 = verify_linear_quotients(o8)
-    _check(
-        checks,
+    check(
         "power 8 compatible order (495 generators) verifies",
         len(o8) == 495 and rep8.passed,
         count=len(o8),
     )
-    return _finish("thm64-c5", checks, t0)
 
 
 REPRO_SUITE = {
@@ -428,11 +376,30 @@ def run_repro(
     budget: int = DEFAULT_BUDGET,
     cap: int = DEFAULT_CAP,
 ) -> tuple[list[dict], bool]:
-    if names is None or not names:
-        names = list(REPRO_SUITE)
+    """Run the named targets (all by default), one report per target.
+
+    A target records each of its checks by calling ``check(what, ok,
+    **detail)``, which returns ``ok``; the report holds the target's name,
+    whether every check passed, its wall time and the checks.
+    """
     reports = []
-    for name in names:
+    for name in names or REPRO_SUITE:
         if name not in REPRO_SUITE:
             raise KeyError(f"unknown repro target {name!r}")
-        reports.append(REPRO_SUITE[name](budget=budget, cap=cap))
+        checks: list[dict] = []
+
+        def check(what: str, ok, **detail) -> bool:
+            checks.append({"check": what, "ok": bool(ok), **detail})
+            return bool(ok)
+
+        t0 = time.perf_counter()
+        REPRO_SUITE[name](check, budget, cap)
+        reports.append(
+            {
+                "name": name,
+                "passed": all(c["ok"] for c in checks),
+                "elapsed_s": round(time.perf_counter() - t0, 3),
+                "checks": checks,
+            }
+        )
     return reports, all(r["passed"] for r in reports)

@@ -39,6 +39,9 @@ from .power_ideals import (
     power_generators,
 )
 
+# The node budget of ``find_lq_order`` when the caller names none.
+DEFAULT_BUDGET = 10**6
+
 
 class NotGapfree(ValueError):
     """The expansion gate failed: the expanded graph would not be gapfree."""
@@ -245,7 +248,7 @@ def _extends(tables: _Tables, mask: int) -> bool:
     return not bad & ~explained
 
 
-def find_lq_order(pg: PowerGenerators, budget: int = 10**6) -> SearchResult:
+def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for a linear-quotients order.
 
     Prefixes are extended by any generator whose colon ideal against the
@@ -359,18 +362,15 @@ def duplication_order(
 class ExpansionContext:
     """Book-keeping for ordering the generators of I(G^[x])^s.
 
-    Z = {x, y}; A = N_G(x); B = the remaining vertices (independent when the
-    expansion is gapfree); mu stratifies generators by the least number of xy
-    factors any factorization needs.
+    Z = {x, y}; B = the vertices outside Z and N_G(x) (independent when the
+    expansion is gapfree); ``mu_values[i]`` is the least number of xy factors
+    a factorization of generator i of ``expanded`` needs.
     """
 
-    graph: Graph
     x: int
     y: int
-    s: int
     expanded: PowerGenerators
     xy_edge: int
-    A: frozenset[int]
     B: tuple[int, ...]
     b_order: tuple[int, ...]
     mu_values: tuple[int, ...]
@@ -404,25 +404,14 @@ def expansion_context(
         min(f.count(xy_edge) for f in pg_exp.factorizations[i])
         for i in range(pg_exp.count)
     )
-    A = frozenset(g.adj[x])
-    B = tuple(sorted(set(range(gexp.n)) - {x, y} - A))
+    B = tuple(sorted(exterior))
     if b_order is None:
         b_order = B
     else:
         b_order = tuple(int(b) for b in b_order)
         if sorted(b_order) != sorted(B):
             raise ValueError(f"b_order must be a permutation of B = {B}")
-    return ExpansionContext(
-        g, x, y, s, pg_exp, xy_edge, A, B, b_order, mu_values
-    )
-
-
-def mu(w: Monomial, ctx: ExpansionContext) -> int:
-    """Least i with w / (xy)^i a generator of the duplicated ideal's power s-i."""
-    at = ctx.expanded.index.get(w.exps)
-    if at is None:
-        raise ValueError(f"{w} is not a generator of the expanded power")
-    return ctx.mu_values[at]
+    return ExpansionContext(x, y, pg_exp, xy_edge, B, b_order, mu_values)
 
 
 def expansion_order(

@@ -33,17 +33,9 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    def deg_var(self, v: int) -> int:
-        """Exponent of variable ``v`` (the largest i with v^i dividing self)."""
-        return self.exps[v]
-
     def support(self) -> tuple[int, ...]:
         """Indices of variables appearing with positive exponent."""
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_ring(other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
 
     def colon(self, other: "Monomial") -> "Monomial":
         """self : other = self / gcd(self, other), componentwise max(a-b, 0)."""
@@ -54,13 +46,6 @@ class Monomial:
         """True iff self divides other (componentwise <=)."""
         self._check_ring(other)
         return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def localize(self, keep: Iterable[int]) -> "Monomial":
-        """Zero out every exponent outside ``keep``."""
-        keep = set(keep)
-        if any(v < 0 or v >= self.nvars for v in keep):
-            raise ValueError("localization set outside variable range")
-        return Monomial(e if i in keep else 0 for i, e in enumerate(self.exps))
 
     def _check_ring(self, other: "Monomial") -> None:
         if self.nvars != other.nvars:
@@ -88,11 +73,3 @@ class Monomial:
             elif e > 1:
                 parts.append(f"{names[i]}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def from_vars(nvars: int, vs: Iterable[int]) -> Monomial:
-    """Product of the given variables (with multiplicity)."""
-    exps = [0] * nvars
-    for v in vs:
-        exps[v] += 1
-    return Monomial(exps)

@@ -28,21 +28,13 @@ class CapExceeded(RuntimeError):
 
 
 class EdgeIdeal:
-    """Edge ideal of a graph with a fixed generator (= edge) sequence."""
+    """Edge ideal of a graph: generator j is the edge ``graph.edges[j]``."""
 
     __slots__ = ("graph", "edges")
 
-    def __init__(self, graph: Graph, edge_order: Sequence[tuple[int, int]] | None = None):
-        if edge_order is None:
-            edge_order = graph.edges
-        else:
-            edge_order = tuple(
-                (u, v) if u < v else (v, u) for u, v in edge_order
-            )
-            if sorted(edge_order) != sorted(graph.edges):
-                raise ValueError("edge_order must be a permutation of the graph's edges")
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.edges = tuple(edge_order)
+        self.edges = graph.edges
 
     @property
     def nvars(self) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from linquo import cli, fixtures
+from linquo import cli, fixtures, harness
+from linquo.linquot import GeneratorOrdering, SearchResult
 from linquo.power_ideals import edge_ideal, power_generators
 
 PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
@@ -11,7 +12,7 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["powers", "--graph", "c5", "--q", "2", "--count-only"], PASS),
+        (["powers", "--graph", "c5", "--q", "2"], PASS),
         (["verify", "--graph", "c5", "--q", "2", "--order", "builtin:istanbul"], PASS),
         (["find-order", "--graph", "c5", "--q", "2"], PASS),
         (["find-order", "--graph", "2k2", "--q", "1"], FAIL),
@@ -25,6 +26,10 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
         (["classify", "--graph", "gamma7"], PASS),
         (["scan", "--n", "3", "--q-max", "1"], PASS),
         (["thm64", "--graph", "c5", "--q-through", "3", "--i2-order", "builtin:istanbul"], PASS),
+        (["thm64", "--graph", "c5"], PASS),
+        (["thm64", "--graph", "2k2"], FAIL),
+        (["--budget", "1", "thm64", "--graph", "c5"], BUDGET),
+        (["thm64", "--graph", "c5", "--q-through", "1"], USAGE),
         (["repro", "istanbul"], PASS),
         (["classify", "--graph", "no-such-fixture"], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
@@ -68,6 +73,51 @@ def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--seed", "1", "classify", "--graph", "c5"])
     assert exc.value.code == USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powers", "--graph", "c5", "--q", "2", "--count-only"],
+        ["scan", "--n", "3", "--q-max", "1", "--no-dedup"],
+    ],
+    ids=lambda v: " ".join(v),
+)
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == USAGE
+
+
+def test_graph_names_are_not_looked_up_in_an_environment_directory(tmp_path, monkeypatch):
+    (tmp_path / "c5.graph").write_text("2\n0 1\n")
+    (tmp_path / "k2").write_text("2\n0 1\n")
+    monkeypatch.setenv("LINQUO_FIXTURES", str(tmp_path))
+    assert fixtures.resolve_graph("c5") == fixtures.c5()
+    with pytest.raises(ValueError):
+        fixtures.resolve_graph("k2")
+
+
+@pytest.mark.parametrize("graph, q", [("c5", 2), ("2k2", 1)])
+def test_find_order_json_is_the_verdict_record(graph, q, capsys):
+    code = cli.main(["--json", "find-order", "--graph", graph, "--q", str(q)])
+    record = harness.lq_verdict(fixtures.named_graph(graph), q)
+    assert json.loads(capsys.readouterr().out) == record
+    assert code == cli.VERDICT_EXIT[record["verdict"]]
+
+
+def test_a_searched_order_that_fails_verification_is_never_yes(monkeypatch, capsys):
+    def reversed_istanbul(pg, budget):
+        seq = fixtures.builtin_order("istanbul", pg).sequence[::-1]
+        return SearchResult("found", GeneratorOrdering(pg, seq, "search"), len(seq), 0)
+
+    monkeypatch.setattr(harness, "find_lq_order", reversed_istanbul)
+    with pytest.raises(AssertionError):
+        harness.lq_verdict(fixtures.c5(), 2)
+    with pytest.raises(AssertionError):
+        harness.check_theorem64_premises(fixtures.c5(), q_through=2)
+    with pytest.raises(AssertionError):
+        cli.main(["find-order", "--graph", "c5", "--q", "2"])
 
 
 def test_search_commands_name_the_exhausted_budget(capsys):

@@ -21,7 +21,6 @@ from linquo.graphs import (
     is_gapfree,
     is_independent,
     matching_number,
-    neighborhood,
     parse_graph,
 )
 from linquo.harness import all_labeled_graphs
@@ -58,15 +57,6 @@ def test_gapfree_examples():
     assert not is_gapfree(two_k2())
     assert is_gapfree(P4)
     assert is_gapfree(Graph(3))  # fewer than two edges, vacuous
-
-
-def test_neighborhood():
-    g = c5()
-    assert neighborhood(g, 0) == {1, 4}
-    assert neighborhood(g, 0, closed=True) == {0, 1, 4}
-    assert neighborhood(Graph(2), 0) == frozenset()
-    with pytest.raises(ValueError):
-        neighborhood(g, 9)
 
 
 def test_is_independent():

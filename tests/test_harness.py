@@ -54,7 +54,7 @@ def test_lq_verdict_recorded_orders_verify():
 
 
 def test_scan_small_graphs_classifier_consistency():
-    records = scan_small_graphs(4, 2, dedup=True)
+    records = scan_small_graphs(4, 2)
     assert len(records) == 11
     for rec in records:
         if not rec["edges"]:
@@ -69,7 +69,7 @@ def test_scan_small_graphs_classifier_consistency():
             if rec["lq"][q]["verdict"] == "yes":
                 assert rec["gapfree"]
     # deterministic
-    again = scan_small_graphs(4, 2, dedup=True)
+    again = scan_small_graphs(4, 2)
     assert records == again
 
 
@@ -84,6 +84,12 @@ def test_check_theorem64_premises_pentagon():
     assert report["implied"] is not None
     assert report["computed"][7]["count"] == 330
     assert report["edge_order_source"] in ("pure-powers", "peel")
+
+
+def test_check_theorem64_premises_rejects_a_tower_below_the_square():
+    for q_through in (1, 0):
+        with pytest.raises(ValueError):
+            check_theorem64_premises(c5(), q_through=q_through)
 
 
 def test_check_theorem64_premises_gap_graph():
@@ -130,6 +136,7 @@ def test_repro_cdcc6_counts_the_graphs(monkeypatch):
         return islice(all_labeled_graphs(n), 100)
 
     monkeypatch.setattr(harness, "all_labeled_graphs", first_100)
-    report = harness.repro_cdcc6()
-    assert not report["passed"]
+    (report,), ok = harness.run_repro(["cdcc6"])
+    assert not ok and not report["passed"]
+    assert list(report) == ["name", "passed", "elapsed_s", "checks"]
     assert report["checks"][0]["graphs"] == 100

@@ -30,11 +30,9 @@ from linquo.linquot import (
     expansion_context,
     expansion_order,
     find_lq_order,
-    mu,
     ordering_from_multisets,
     verify_linear_quotients,
 )
-from linquo.monomials import from_vars
 from linquo.orderings import (
     auto_edge_order,
     compatible_orders,
@@ -42,6 +40,8 @@ from linquo.orderings import (
     pure_power_edge_sequence,
 )
 from linquo.power_ideals import edge_ideal, power_generators
+
+from helpers import from_vars
 
 A, B, C, D, E = range(5)
 
@@ -202,7 +202,7 @@ def test_duplication_order_pentagon_every_vertex():
         assert verify_linear_quotients(o).passed
         assert o.provenance == "duplication"
         # each x-divisible generator contributes its substitution chain
-        extra = sum(m.deg_var(x) for m in ist.monomials())
+        extra = sum(m.exps[x] for m in ist.monomials())
         assert len(o) == len(ist) + extra
 
 
@@ -273,21 +273,21 @@ def test_expansion_context_b_order_validation():
 
 def test_mu_values():
     ctx = expansion_context(fig2(), 4, 2)
+    mus, index = ctx.mu_values, ctx.expanded.index
     y = 6
     # a generator of the duplicated ideal's power keeps mu = 0
     w0 = from_vars(7, [0, 4, 0, 4])  # (ax)^2
-    assert mu(w0, ctx) == 0
+    assert mus[index[w0.exps]] == 0
     # (xy)^s needs every factor
     top = from_vars(7, [4, y, 4, y])
-    assert mu(top, ctx) == 2
+    assert mus[index[top.exps]] == 2
     # (xy) * ab refactors as (xa)(yb) since a and b both neighbor x
     w1 = from_vars(7, [4, y, 0, 1])
-    assert mu(w1, ctx) == 0
+    assert mus[index[w1.exps]] == 0
     # (xy) * pz cannot avoid the clique edge: p is outside N(x)
     w2 = from_vars(7, [4, y, 2, 5])
-    assert mu(w2, ctx) == 1
-    with pytest.raises(ValueError):
-        mu(from_vars(7, [0, 0, 0, 0]), ctx)  # a^4 is not a generator
+    assert mus[index[w2.exps]] == 1
+    assert from_vars(7, [0, 0, 0, 0]).exps not in index  # a^4 is not a generator
 
 
 def test_mu_against_direct_minimum():
@@ -306,7 +306,7 @@ def test_expansion_prefix_is_duplication_order():
     dup = duplication_order(base, 4)
     prefix = o.monomials()[: len(dup)]
     assert [m.exps for m in prefix] == [m.exps for m in dup.monomials()]
-    suffix_mus = [mu(m, ctx) for m in o.monomials()[len(dup):]]
+    suffix_mus = [ctx.mu_values[ctx.expanded.index[m.exps]] for m in o.monomials()[len(dup):]]
     assert all(v > 0 for v in suffix_mus)
     assert suffix_mus == sorted(suffix_mus)  # rule 1 dominates the suffix sort
 

@@ -20,7 +20,6 @@ from linquo.linquot import (
     ordering_from_multisets,
     verify_linear_quotients,
 )
-from linquo.monomials import from_vars
 from linquo.orderings import (
     admissible_order,
     auto_edge_order,
@@ -30,6 +29,8 @@ from linquo.orderings import (
     pure_power_edge_sequence,
 )
 from linquo.power_ideals import edge_ideal, power_generators
+
+from helpers import from_vars
 
 
 def ordering(g, q, multisets):

@@ -29,16 +29,6 @@ def test_edge_ideal_generators():
     assert edge_ideal(Graph(4)).nedges == 0
 
 
-def test_custom_edge_order_must_be_permutation():
-    from linquo.power_ideals import EdgeIdeal
-
-    g = c5()
-    reordered = EdgeIdeal(g, list(reversed(g.edges)))
-    assert reordered.edges == tuple(reversed(g.edges))
-    with pytest.raises(ValueError):
-        EdgeIdeal(g, [(0, 1)])
-
-
 def test_power_counts():
     assert power_generators(edge_ideal(c5()), 2).count == 15
     assert power_generators(edge_ideal(fig2()), 2).count == 34
