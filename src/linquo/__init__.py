@@ -46,7 +46,6 @@ from .power_ideals import (
     EdgeIdeal,
     PowerGenerators,
     edge_ideal,
-    expansion_new_generators,
     power_generators,
 )
 

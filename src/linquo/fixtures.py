@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .graphs import Graph, expand_vertex, duplicate_vertex, parse_graph
+from .graphs import TWO_K2, Graph, expand_vertex, duplicate_vertex, parse_graph
 from .linquot import GeneratorOrdering, ordering_from_multisets
 from .power_ideals import PowerGenerators
 
@@ -59,7 +59,7 @@ def gamma7() -> Graph:
 
 
 def two_k2() -> Graph:
-    return Graph(4, [(0, 1), (2, 3)], labels=("a", "b", "c", "d"))
+    return TWO_K2.with_labels(("a", "b", "c", "d"))
 
 
 def c5k(n: int) -> Graph:
@@ -89,7 +89,8 @@ def named_graph(name: str) -> Graph:
         "2k2": two_k2,
     }
     if key not in builders:
-        raise KeyError(f"unknown fixture {name!r}")
+        known = ", ".join(builders)
+        raise ValueError(f"unknown fixture {name!r} (fixtures: {known}, c5k<n>)")
     return builders[key]()
 
 
@@ -98,12 +99,7 @@ def resolve_graph(source: str) -> Graph:
     p = Path(source)
     if p.is_file():
         return parse_graph(p.read_text())
-    try:
-        return named_graph(source)
-    except KeyError:
-        raise ValueError(
-            f"cannot resolve graph {source!r}: not a file and not a built-in fixture"
-        ) from None
+    return named_graph(source)
 
 
 # The verified order of the 15 generators of the pentagon's square:
@@ -157,7 +153,7 @@ def builtin_order(name: str, pg: PowerGenerators) -> GeneratorOrdering:
     """Resolve a built-in order name against enumerated power generators."""
     key = name.lower()
     if key not in _BUILTIN_ORDERS:
-        raise KeyError(f"unknown built-in order {name!r}")
+        raise ValueError(f"unknown built-in order {name!r}")
     fixture, q, multisets = _BUILTIN_ORDERS[key]
     if pg.q != q:
         raise ValueError(f"built-in order {name!r} is for q={q}, got q={pg.q}")

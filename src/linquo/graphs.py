@@ -5,6 +5,10 @@ Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
 ``(u, v)`` with ``u < v``; the input edge sequence is preserved because edge
 ideals downstream key their generators by it.  Optional ``labels`` name the
 vertices for rendering only.
+
+Each classifier is its definition: gapfree is "no induced 2K2", tested by
+the same induced-pattern search as the cricket, diamond, C4 and C5, and
+chordality is the deletion of simplicial vertices down to the empty graph.
 """
 
 from __future__ import annotations
@@ -84,12 +88,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-# --- reference patterns (Cricket, Diamond, C4, C5), drawn on 4/5 vertices ---
+# --- reference patterns (Cricket, Diamond, C4, C5, 2K2), drawn on 4/5 vertices ---
 
 CRICKET = Graph(5, [(0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 C4 = Graph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 
 PATTERNS: dict[str, Graph] = {
     "cricket": CRICKET,
@@ -114,21 +119,6 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> Graph:
     if g.labels is not None:
         labels = tuple(g.labels[v] for v in verts)
     return Graph(len(verts), edges, labels)
-
-
-def is_gapfree(g: Graph) -> bool:
-    """No pair of vertex-disjoint edges without a third edge meeting both."""
-    masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    m = len(masks)
-    for i in range(m):
-        a = masks[i]
-        for j in range(i + 1, m):
-            b = masks[j]
-            if a & b:
-                continue
-            if not any(h & a and h & b for h in masks):
-                return False
-    return True
 
 
 def contains_induced(g: Graph, pattern: str | Graph) -> bool:
@@ -164,10 +154,14 @@ def contains_induced(g: Graph, pattern: str | Graph) -> bool:
     return False
 
 
+def is_gapfree(g: Graph) -> bool:
+    """No induced 2K2: every two disjoint edges are joined by a third edge."""
+    return not contains_induced(g, TWO_K2)
+
+
 def is_cdcc(g: Graph) -> bool:
     """Gapfree and containing induced cricket, diamond, C4 and C5."""
-    # Pattern checks first: they reject far more graphs, far more cheaply,
-    # than the gapfree scan.
+    # The four patterns first: they reject far more graphs than the 2K2 test.
     return (
         contains_induced(g, "c5")
         and contains_induced(g, "cricket")
@@ -186,46 +180,30 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges, g.labels)
 
 
-def _mcs_order(g: Graph) -> list[int]:
-    """Maximum-cardinality search visit order (ties to the smallest label)."""
-    weight = [0] * g.n
-    visited = [False] * g.n
-    order: list[int] = []
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if not visited[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        visited[v] = True
-        order.append(v)
-        for u in g.adj[v]:
-            if not visited[u]:
-                weight[u] += 1
-    return order
+def is_chordal(g: Graph) -> bool:
+    """Chordality by deleting simplicial vertices (vertices whose neighbours
+    are pairwise adjacent) one at a time: True iff the graph empties.
 
-
-def _is_perfect_elimination_ordering(g: Graph, peo: Sequence[int]) -> bool:
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=pos.__getitem__)
-        if any(u != parent and u not in g.adj[parent] for u in later):
+    A chordal graph has a simplicial vertex and stays chordal without it
+    (Dirac 1961), so the deletions empty it.  No vertex of a chordless cycle
+    is simplicial, so they never empty a graph that has one.
+    """
+    nb = [0] * g.n
+    for u, v in g.edges:
+        nb[u] |= 1 << v
+        nb[v] |= 1 << u
+    left = (1 << g.n) - 1
+    while left:
+        for v in range(g.n):
+            around = nb[v] & left
+            if left >> v & 1 and all(
+                around & ~nb[u] == 1 << u for u in range(g.n) if around >> u & 1
+            ):
+                left ^= 1 << v
+                break
+        else:
             return False
     return True
-
-
-def is_chordal(g: Graph) -> bool:
-    """Chordality via maximum-cardinality search plus elimination-order check.
-
-    MCS yields a perfect elimination ordering exactly when one exists, so the
-    verification pass decides chordality.
-    """
-    if g.n == 0:
-        return True
-    peo = list(reversed(_mcs_order(g)))
-    return _is_perfect_elimination_ordering(g, peo)
 
 
 def is_cochordal(g: Graph) -> bool:

@@ -14,6 +14,11 @@ sequence); the transports map exponent tuples back to generator indices
 through ``PowerGenerators.index``.  ``Monomial`` appears only in witnesses,
 in the colon oracle and in ``GeneratorOrdering.monomials()``.
 
+Both transports start from one duplication rule, ``_duplicated_rows``: each
+generator u, then its substitutes u y^k / x^k.  Duplication maps those rows
+into the power of I(G^x); expansion maps them into the power of I(G^[x]),
+where they are the generators that need no xy factor, and appends the rest.
+
 The search applies the same criterion to one candidate at a time, with sets of
 generators held as Python int bitmasks over generator indices: per candidate
 c, one numpy pass over ``exps - exps[c]`` gives the generators whose colon
@@ -29,15 +34,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, duplicate_vertex, expand_vertex, is_independent
+from .graphs import Graph, duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
-from .power_ideals import (
-    DEFAULT_CAP,
-    EdgeIdeal,
-    PowerGenerators,
-    expansion_new_generators,
-    power_generators,
-)
+from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators
 
 # The node budget of ``find_lq_order`` when the caller names none.
 DEFAULT_BUDGET = 10**6
@@ -205,10 +204,6 @@ class SearchResult:
     nodes: int
     backtracks: int
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
 
 # (wide, units) of one candidate; see ``_colon_tables``.
 _Tables = tuple[int, tuple[tuple[int, int], ...]]
@@ -330,31 +325,36 @@ def _require_verified(o: GeneratorOrdering, what: str) -> None:
         )
 
 
+def _duplicated_rows(o: GeneratorOrdering, x: int) -> list[tuple[int, ...]]:
+    """The exponent rows of ``o`` with the new vertex y = n appended, each row
+    u followed by its deg_x(u) substitutes u * y^k / x^k, k = 1..deg_x(u)."""
+    rows = []
+    for row in o.exps().tolist():
+        row.append(0)
+        rows.append(tuple(row))
+        for _ in range(row[x]):
+            row[x] -= 1
+            row[-1] += 1
+            rows.append(tuple(row))
+    return rows
+
+
 def duplication_order(
     o: GeneratorOrdering, x: int, cap: int = DEFAULT_CAP
 ) -> GeneratorOrdering:
-    """Extend a verified order on I(G)^s to one on I(G^x)^s.
-
-    Each generator u with deg_x(u) = d is followed immediately by the d
-    substitutes u * y^k / x^k, k = 1..d.  The power of the duplicated ideal is
-    recomputed from the duplicated graph, never transformed syntactically.
+    """Extend a verified order on I(G)^s to one on I(G^x)^s: the rows of
+    ``_duplicated_rows``.  The power of the duplicated ideal is recomputed
+    from the duplicated graph, never transformed syntactically.
     """
     pg = o.base
     g = pg.ideal.graph
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     _require_verified(o, "duplication_order")
-    gx = duplicate_vertex(g, x)
-    pg_x = power_generators(EdgeIdeal(gx), pg.q, cap)
-    y = g.n
-    emitted: list[tuple[int, ...]] = []
-    for row in o.exps().tolist():
-        row.append(0)
-        emitted.append(tuple(row))
-        emitted.extend(expansion_new_generators(row, x, y))
-    seq = tuple(pg_x.index[row] for row in emitted)
+    pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q, cap)
+    seq = tuple(pg_x.index[row] for row in _duplicated_rows(o, x))
     if sorted(seq) != list(range(pg_x.count)):
-        raise AssertionError("duplication insertion did not enumerate all generators")
+        raise AssertionError("duplication order lost or duplicated a generator")
     return GeneratorOrdering(pg_x, seq, "duplication")
 
 
@@ -385,26 +385,23 @@ def expansion_context(
 ) -> ExpansionContext:
     """Build the expansion G^[x], its power generators, and the mu values.
 
-    Raises NotGapfree when the exterior V(G) minus N[x] is not independent,
-    which is exactly when G^[x] fails to be gapfree.
+    Raises NotGapfree when G^[x] is not gapfree.
     """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    exterior = set(range(g.n)) - {x} - set(g.adj[x])
-    if not is_independent(g, exterior):
+    gexp = expand_vertex(g, x)
+    if not is_gapfree(gexp):
         raise NotGapfree(
-            f"expansion at vertex {x} rejected: V minus N[{x}] contains an edge, "
-            "so the expanded graph is not gapfree"
+            f"expansion at vertex {x} rejected: the expanded graph is not gapfree"
         )
     y = g.n
-    gexp = expand_vertex(g, x)
     pg_exp = power_generators(EdgeIdeal(gexp), s, cap)
     xy_edge = gexp.edges.index((x, y))
     mu_values = tuple(
         min(f.count(xy_edge) for f in pg_exp.factorizations[i])
         for i in range(pg_exp.count)
     )
-    B = tuple(sorted(exterior))
+    B = tuple(sorted(set(range(g.n)) - {x} - g.adj[x]))
     if b_order is None:
         b_order = B
     else:
@@ -422,18 +419,18 @@ def expansion_order(
 ) -> GeneratorOrdering:
     """Extend a verified order on I(G)^s to one on I(G^[x])^s.
 
-    The prefix is the duplication order (the mu = 0 generators); the new
-    generators follow, sorted by (mu, deg on {x,y}, |deg_x - deg_y|, then the
-    B-part lexicographically along b_order, largest first).  Those four rules
-    leave x/y-mirror ties, broken by larger deg_x then by full exponent-vector
-    lex, largest first; the verifier certifies the result, not the proof.
+    The prefix is the rows of ``_duplicated_rows`` (the mu = 0 generators);
+    the new generators follow, sorted by (mu, deg on {x,y}, |deg_x - deg_y|,
+    then the B-part lexicographically along b_order, largest first).  Those
+    four rules leave x/y-mirror ties, broken by larger deg_x then by full
+    exponent-vector lex, largest first; the verifier certifies the result,
+    not the proof.
     """
     pg = o.base
-    g = pg.ideal.graph
-    ctx = expansion_context(g, x, pg.q, b_order, cap)
-    prefix = duplication_order(o, x, cap)
+    ctx = expansion_context(pg.ideal.graph, x, pg.q, b_order, cap)
+    _require_verified(o, "expansion_order")
     pg_exp = ctx.expanded
-    seq = [pg_exp.index[tuple(row)] for row in prefix.exps().tolist()]
+    seq = [pg_exp.index[row] for row in _duplicated_rows(o, x)]
     if any(ctx.mu_values[i] != 0 for i in seq):
         raise AssertionError("duplication prefix contains a generator with mu > 0")
 
@@ -452,7 +449,7 @@ def expansion_order(
             tuple(-e for e in m),
         )
 
-    suffix = sorted(
-        (i for i in range(pg_exp.count) if ctx.mu_values[i] > 0), key=key
-    )
-    return GeneratorOrdering(pg_exp, tuple(seq + suffix), "expansion")
+    seq += sorted((i for i in range(pg_exp.count) if ctx.mu_values[i] > 0), key=key)
+    if sorted(seq) != list(range(pg_exp.count)):
+        raise AssertionError("expansion order lost or duplicated a generator")
+    return GeneratorOrdering(pg_exp, tuple(seq), "expansion")

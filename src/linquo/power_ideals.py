@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -104,16 +103,3 @@ class PowerGenerators:
 
 def power_generators(ideal: EdgeIdeal, q: int, cap: int = DEFAULT_CAP) -> PowerGenerators:
     return PowerGenerators(ideal, q, cap)
-
-
-def expansion_new_generators(
-    u: Sequence[int], x: int, y: int
-) -> list[tuple[int, ...]]:
-    """The deg_x(u) exponent vectors of u * y^k / x^k for k = 1..deg_x(u), in order."""
-    out = []
-    exps = list(u)
-    for _ in range(u[x]):
-        exps[x] -= 1
-        exps[y] += 1
-        out.append(tuple(exps))
-    return out

@@ -127,3 +127,27 @@ def test_search_commands_name_the_exhausted_budget(capsys):
     argv = ["--budget", "1", "compatible-orders", "--graph", "c5", "--q", "3"]
     assert cli.main(argv) == BUDGET
     assert capsys.readouterr().err == "no square order: unknown after 2 nodes (budget 1)\n"
+
+
+def test_repro_checks_every_name_before_running_any(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(harness.REPRO_SUITE, "cdcc6", lambda *args: ran.append(args))
+    assert cli.main(["repro", "cdcc6", "nosuch"]) == USAGE
+    assert ran == []
+    assert capsys.readouterr().err == "error: unknown repro target 'nosuch'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["verify", "--graph", "c5", "--q", "2", "--order", "builtin:nosuch"],
+            "error: unknown built-in order 'nosuch'\n",
+        ),
+        (["classify", "--graph", "c5k0"], "error: clique size must be >= 1\n"),
+    ],
+    ids=["builtin:nosuch", "c5k0"],
+)
+def test_usage_errors_print_their_message_plainly(argv, err, capsys):
+    assert cli.main(argv) == USAGE
+    assert capsys.readouterr().err == err

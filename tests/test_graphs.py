@@ -59,6 +59,27 @@ def test_gapfree_examples():
     assert is_gapfree(Graph(3))  # fewer than two edges, vacuous
 
 
+def gapfree_edge_pairs(g):
+    """Independent cross-check from the definition by edges: every two
+    vertex-disjoint edges are met by a third edge."""
+    masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    return all(
+        any(h & a and h & b for h in masks)
+        for a, b in combinations(masks, 2)
+        if not a & b
+    )
+
+
+def test_gapfree_matches_edge_pair_oracle():
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert is_gapfree(g) == gapfree_edge_pairs(g), g
+    rng = random.Random(23)
+    for _ in range(200):
+        g = random_small_graph(rng, max_n=9, min_n=6)
+        assert is_gapfree(g) == gapfree_edge_pairs(g), g
+
+
 def test_is_independent():
     g = c5()
     assert is_independent(g, {0, 2})

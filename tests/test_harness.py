@@ -73,9 +73,16 @@ def test_scan_small_graphs_classifier_consistency():
     assert records == again
 
 
-def test_scan_rejects_large_n():
-    with pytest.raises(ValueError):
-        scan_small_graphs(8, 1)
+def test_scan_rejects_large_n(monkeypatch):
+    # Refused before enumerating: n = 7 would relabel 2^21 labeled graphs
+    # 5,040 times each.
+    def enumerate_nothing(n):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(harness, "nonisomorphic_graphs", enumerate_nothing)
+    for n in (7, 8):
+        with pytest.raises(ValueError):
+            scan_small_graphs(n, 1)
 
 
 def test_check_theorem64_premises_pentagon():

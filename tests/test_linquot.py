@@ -137,7 +137,7 @@ def test_colon_min_gens_cube_last_position():
 def test_find_lq_order_c5_square():
     pg = power_generators(edge_ideal(c5()), 2)
     res = find_lq_order(pg)
-    assert res.found
+    assert res.status == "found"
     assert verify_linear_quotients(res.ordering).passed
     assert res.ordering.provenance == "search"
 
@@ -262,6 +262,15 @@ def test_expansion_gate_rejects_dependent_exterior():
         expansion_order(ist, 0)
     with pytest.raises(NotGapfree):
         expansion_context(c5(), 0, 2)
+
+
+def test_expansion_gate_is_the_gapfree_test_on_the_expansion():
+    # ab and cd with x adjacent to a and c: the exterior {b, d} of x is
+    # independent, yet G^[x] keeps ab and cd unjoined, so it is not gapfree.
+    a, b, c, d, x = range(5)
+    g = Graph(5, [(a, b), (c, d), (x, a), (x, c)])
+    with pytest.raises(NotGapfree):
+        expansion_context(g, x, 1)
 
 
 def test_expansion_context_b_order_validation():
@@ -480,7 +489,7 @@ def test_find_lq_order_depth_is_not_bounded_by_recursion():
         res = find_lq_order(pg)
     finally:
         sys.setrecursionlimit(limit)
-    assert res.found and res.backtracks == 0
+    assert res.status == "found" and res.backtracks == 0
     assert len(res.ordering) == pg.count > 50
 
 
@@ -494,5 +503,5 @@ def test_find_lq_order_memory_does_not_grow_with_depth_squared():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.found and len(res.ordering) == 495
+    assert res.status == "found" and len(res.ordering) == 495
     assert peak < 2_000_000

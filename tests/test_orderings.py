@@ -192,7 +192,7 @@ def test_compatible_orders_random_squares_deterministic_and_complete():
             continue
         pg2 = power_generators(edge_ideal(g), 2)
         res = find_lq_order(pg2, budget=200000)
-        if not res.found:
+        if res.status != "found":
             continue
         eo = pure_power_edge_sequence(res.ordering)
         if not is_admissible(g, eo):
@@ -229,7 +229,7 @@ def test_compatible_orders_failing_searched_square_regression():
     assert is_gapfree(g)
     pg2 = power_generators(edge_ideal(g), 2)
     res = find_lq_order(pg2, budget=200000)
-    assert res.found
+    assert res.status == "found"
     eo = pure_power_edge_sequence(res.ordering)
     assert is_admissible(g, eo)
     o3 = compatible_orders(g, eo, res.ordering, 3)
@@ -237,4 +237,4 @@ def test_compatible_orders_failing_searched_square_regression():
     # the power itself does admit an order: the failure is the pair's, not the
     # ideal's
     pg3 = power_generators(edge_ideal(g), 3)
-    assert find_lq_order(pg3, budget=400000).found
+    assert find_lq_order(pg3, budget=400000).status == "found"

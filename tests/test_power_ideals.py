@@ -6,12 +6,8 @@ import pytest
 
 from linquo.fixtures import c5, fig2, fig4
 from linquo.graphs import Graph
-from linquo.power_ideals import (
-    CapExceeded,
-    edge_ideal,
-    expansion_new_generators,
-    power_generators,
-)
+from linquo.linquot import _duplicated_rows, ordering_from_multisets
+from linquo.power_ideals import CapExceeded, edge_ideal, power_generators
 
 
 def test_edge_ideal_generators():
@@ -110,10 +106,21 @@ def test_generators_match_bruteforce_small():
 
 
 def test_expansion_new_generators():
-    # u = x^2 * m over variables x, y, m
-    assert expansion_new_generators((2, 0, 1), 0, 1) == [(1, 1, 1), (0, 2, 1)]
-    assert expansion_new_generators([1, 0, 2], 0, 1) == [(0, 1, 2)]
-    assert expansion_new_generators((0, 1, 1), 0, 1) == []
+    # The duplication rule: each generator u, then u * y^k / x^k for
+    # k = 1..deg_x(u), with y the appended last variable.
+    def rows(g, q, multisets, x):
+        pg = power_generators(edge_ideal(g), q)
+        return _duplicated_rows(ordering_from_multisets(pg, multisets), x)
+
+    # u = (x m)^2 over variables x, m
+    assert rows(Graph(2, [(0, 1)]), 2, [(0, 0)], 0) == [(2, 2, 0), (1, 2, 1), (0, 2, 2)]
+    # the path m0-x-m2 at x: each edge gains one substitute, right after it
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    assert rows(p3, 1, [(1,), (0,)], 1) == [
+        (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 1)
+    ]
+    # a vertex in no generator adds no substitute
+    assert rows(Graph(3, [(0, 1)]), 1, [(0,)], 2) == [(1, 1, 0, 0)]
 
 
 def test_cap_aborts_cleanly():
