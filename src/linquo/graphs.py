@@ -58,7 +58,9 @@ class Graph:
             for u, v in self.edges:
                 sets[u].add(v)
                 sets[v].add(u)
-            self._adj = tuple(frozenset(s) for s in sets)
+            # From a list: a tuple() of a generator is allocated large and shrunk, so
+            # freed ones pile up on CPython's free list, which only exact sizes reuse.
+            self._adj = tuple([frozenset(s) for s in sets])
         return self._adj
 
     @property

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, duplicate_vertex, expand_vertex, is_gapfree
+from .graphs import Graph, complement, duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
 from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators
 
@@ -362,9 +362,9 @@ def duplication_order(
 class ExpansionContext:
     """Book-keeping for ordering the generators of I(G^[x])^s.
 
-    Z = {x, y}; B = the vertices outside Z and N_G(x) (independent when the
-    expansion is gapfree); ``mu_values[i]`` is the least number of xy factors
-    a factorization of generator i of ``expanded`` needs.
+    Z = {x, y}; B = N(x) in the complement of G, i.e. V - N_G[x] (independent
+    when the expansion is gapfree); ``mu_values[i]`` is the least number of
+    xy factors a factorization of generator i of ``expanded`` needs.
     """
 
     x: int
@@ -401,7 +401,7 @@ def expansion_context(
         min(f.count(xy_edge) for f in pg_exp.factorizations[i])
         for i in range(pg_exp.count)
     )
-    B = tuple(sorted(set(range(g.n)) - {x} - g.adj[x]))
+    B = tuple(sorted(complement(g).adj[x]))
     if b_order is None:
         b_order = B
     else:

@@ -1,5 +1,6 @@
+import functools
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -17,23 +18,87 @@ from linquo.harness import (
 )
 
 
+# Classes of graphs on n = 0..6 vertices (OEIS A000088).
+CLASS_COUNTS = [1, 1, 2, 4, 11, 34, 156]
+
+
+@pytest.fixture(scope="module")
+def classes():
+    return {n: list(nonisomorphic_graphs(n)) for n in range(len(CLASS_COUNTS))}
+
+
+def edge_mask(g: Graph) -> int:
+    pairs = list(combinations(range(g.n), 2))
+    return sum(1 << pairs.index(e) for e in g.edges)
+
+
+@functools.cache
+def relabelings(n: int) -> list[dict[tuple[int, int], int]]:
+    """Per relabeling p of 0..n-1: pair (u, v) -> the edge-mask bit of its image."""
+    index = {e: i for i, e in enumerate(combinations(range(n), 2))}
+    return [
+        {(u, v): index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index}
+        for p in permutations(range(n))
+    ]
+
+
+def brute_least_mask(g: Graph) -> int:
+    """The oracle: the least edge mask over all n! relabelings."""
+    return min(sum(1 << t[e] for e in g.edges) for t in relabelings(g.n))
+
+
+def brute_nonisomorphic_graphs(n: int):
+    """The oracle: the first labeled graph of each class in edge-mask order,
+    by n!-relabeling dedup over every labeled graph."""
+    seen: set[int] = set()
+    for g in all_labeled_graphs(n):
+        key = brute_least_mask(g)
+        if key not in seen:
+            seen.add(key)
+            yield g
+
+
 def test_all_labeled_graph_counts():
     assert sum(1 for _ in all_labeled_graphs(3)) == 8
     assert sum(1 for _ in all_labeled_graphs(4)) == 64
 
 
-def test_nonisomorphic_counts():
-    # 1, 2, 4, 11, 34 graphs on 1..5 vertices
-    assert sum(1 for _ in nonisomorphic_graphs(3)) == 4
-    assert sum(1 for _ in nonisomorphic_graphs(4)) == 11
-    assert sum(1 for _ in nonisomorphic_graphs(5)) == 34
+def test_nonisomorphic_counts(classes):
+    assert [len(classes[n]) for n in range(len(CLASS_COUNTS))] == CLASS_COUNTS
+
+
+def test_nonisomorphic_graphs_match_the_brute_force_dedup(classes):
+    for n in range(6):
+        want = [g.edges for g in brute_nonisomorphic_graphs(n)]
+        assert [g.edges for g in classes[n]] == want
+
+
+def test_canonical_form_is_the_least_mask(classes):
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
+        assert canonical_form(g) == brute_least_mask(g)
+    for g in classes[6]:  # each representative is its class minimum
+        assert canonical_form(g) == edge_mask(g)
+
+
+def test_canonical_form_matches_the_networkx_atlas(classes):
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, list[int]] = {n: [] for n in classes}
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() in atlas:
+            atlas[a.number_of_nodes()].append(canonical_form(Graph(a.number_of_nodes(), a.edges())))
+    for n, reps in classes.items():
+        # each atlas graph is the class of exactly one representative
+        assert sorted(atlas[n]) == [edge_mask(g) for g in reps]
 
 
 def test_canonical_form_is_relabeling_invariant():
     rng = random.Random(43)
     for _ in range(40):
         n = rng.randint(2, 6)
-        g = Graph(n, [e for e in __import__("itertools").combinations(range(n), 2) if rng.random() < 0.5])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = Graph(
@@ -74,13 +139,17 @@ def test_scan_small_graphs_classifier_consistency():
 
 
 def test_scan_rejects_large_n(monkeypatch):
-    # Refused before enumerating: n = 7 would relabel 2^21 labeled graphs
-    # 5,040 times each.
-    def enumerate_nothing(n):
+    # Refused before enumerating: n = 8 would relabel 1,044 classes x 128
+    # neighbourhoods up to 8! ways each.
+    def enumerate_nothing(*args):
         raise AssertionError("the enumeration started")
 
+    monkeypatch.setattr(harness, "canonical_form", enumerate_nothing)
+    for n in (8, 9):
+        with pytest.raises(ValueError):
+            next(nonisomorphic_graphs(n))
     monkeypatch.setattr(harness, "nonisomorphic_graphs", enumerate_nothing)
-    for n in (7, 8):
+    for n in (8, 9):
         with pytest.raises(ValueError):
             scan_small_graphs(n, 1)
 
@@ -140,9 +209,9 @@ def test_classify_graph_cdcc_matches_is_cdcc():
 
 def test_repro_cdcc6_counts_the_graphs(monkeypatch):
     def first_100(n):
-        return islice(all_labeled_graphs(n), 100)
+        return islice(nonisomorphic_graphs(n), 100)
 
-    monkeypatch.setattr(harness, "all_labeled_graphs", first_100)
+    monkeypatch.setattr(harness, "nonisomorphic_graphs", first_100)
     (report,), ok = harness.run_repro(["cdcc6"])
     assert not ok and not report["passed"]
     assert list(report) == ["name", "passed", "elapsed_s", "checks"]
