@@ -8,11 +8,11 @@ A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
 with a searched square and ``thm64`` (the verdict of the last power it
 computed):
 
-    verdict   meaning                                          exit
-    yes       an order found or built, and verified            0
-    no        the search tree exhausted: no order exists       1
-    fail      a given or built order fails the verifier        1
-    unknown   the node budget or the multiset cap ran out      3
+    verdict   meaning                                                             exit
+    yes       an order found or built, and verified                               0
+    no        no order: an exhausted search or a checked restriction certificate  1
+    fail      a given or built order fails the verifier                           1
+    unknown   the node budget or the multiset cap ran out                         3
 """
 
 from __future__ import annotations
@@ -161,10 +161,13 @@ def _print_verified(o, args) -> int:
     return VERDICT_EXIT["yes" if passed else "fail"]
 
 
-def _not_found(record: dict, budget: int) -> str:
+def _not_found(record: dict, budget: int, g, q: int) -> str:
     """What a search that gave no order reports on stderr."""
     if "nodes" not in record:
         return f"cap exceeded: {record['reason']}"
+    if record.get("by") == "restriction":
+        w = " ".join(g.vertex_names()[v] for v in record["W"])
+        return f"no: induced 2K2 on {w}, whose power q={q} has no order ({record['nodes']} nodes)"
     return f"{record['verdict']} after {record['nodes']} nodes (budget {budget})"
 
 
@@ -209,7 +212,7 @@ def _cmd_find_order(args) -> int:
     elif o is not None:
         _emit(fixtures.format_order(o), args.emit)
     else:
-        print(_not_found(record, args.budget), file=sys.stderr)
+        print(_not_found(record, args.budget, g, args.q), file=sys.stderr)
     return VERDICT_EXIT[record["verdict"]]
 
 
@@ -247,7 +250,10 @@ def _cmd_compatible_orders(args) -> int:
     if args.i2_order == "auto":
         record, o2 = harness.search_verdict(g, 2, args.budget, args.cap)
         if o2 is None:
-            print(f"no square order: {_not_found(record, args.budget)}", file=sys.stderr)
+            if args.json:
+                print(json.dumps(record, indent=2))
+            else:
+                print(f"no square order: {_not_found(record, args.budget, g, 2)}", file=sys.stderr)
             return VERDICT_EXIT[record["verdict"]]
     else:
         pg2 = power_generators(edge_ideal(g), 2, args.cap)

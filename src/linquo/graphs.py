@@ -123,8 +123,9 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> Graph:
     return Graph(len(verts), edges, labels)
 
 
-def contains_induced(g: Graph, pattern: str | Graph) -> bool:
-    """True iff some vertex subset of ``g`` induces a copy of the pattern.
+def find_induced(g: Graph, pattern: str | Graph) -> tuple[int, ...] | None:
+    """The first vertex subset of ``g`` (in ``combinations`` order) that
+    induces a copy of the pattern, or None.
 
     The neighbourhoods of ``g`` are int bitmasks.  For each vertex subset of
     the pattern's size, a filter compares the subset's sorted induced degrees
@@ -133,11 +134,14 @@ def contains_induced(g: Graph, pattern: str | Graph) -> bool:
     maps the pattern's edges onto edges of ``g``.  Equal degree sequences give
     equal edge counts, so such a bijection maps edges onto all induced edges
     and non-edges onto non-edges: the copy is induced.
+
+    A "no" on I(G)^q comes from an exhausted search or a checked restriction
+    certificate, whose W is an induced 2K2 found here (``search_verdict``).
     """
     p = PATTERNS[pattern] if isinstance(pattern, str) else pattern
     k = p.n
     if g.n < k:
-        return False
+        return None
     degrees = sorted(len(a) for a in p.adj)
     nb = [0] * g.n
     for u, v in g.edges:
@@ -152,8 +156,13 @@ def contains_induced(g: Graph, pattern: str | Graph) -> bool:
             continue
         for perm in permutations(subset):
             if all(nb[perm[u]] >> perm[v] & 1 for u, v in pedges):
-                return True
-    return False
+                return subset
+    return None
+
+
+def contains_induced(g: Graph, pattern: str | Graph) -> bool:
+    """True iff some vertex subset of ``g`` induces a copy of the pattern."""
+    return find_induced(g, pattern) is not None
 
 
 def is_gapfree(g: Graph) -> bool:

@@ -3,9 +3,9 @@ augmentation, scanning, the bounded-power premise checker, and the
 reproduction suite behind the ``repro`` subcommand.
 
 Every search verdict comes from ``search_verdict``: a "yes" carries an order
-that was re-verified before the record was written, a "no" an exhausted
-search, and an "unknown" the budget or cap that ran out.  Theorem-implied
-conclusions are reported in a separate field from computed facts.
+re-verified before the record was written, a "no" an exhausted search or a
+checked restriction certificate, and an "unknown" the budget or cap that ran
+out.  Theorem-implied conclusions are reported apart from computed facts.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ from math import comb
 
 from . import fixtures
 from .graphs import (
+    TWO_K2,
     Graph,
     complement,
     contains_induced,
+    find_induced,
+    induced_subgraph,
     is_cdcc,
     is_chordal,
     is_cochordal,
@@ -108,17 +111,23 @@ def search_verdict(
 ) -> tuple[dict, GeneratorOrdering | None]:
     """The order search's verdict on I(G)^q, and the order when one was found.
 
-    A cap hit or a spent node budget gives "unknown" with the reason, an
-    exhausted search tree gives "no", and a found order gives "yes" only after
-    it has been re-verified.
+    A cap hit or a spent budget gives "unknown" with the reason, a found order
+    "yes" once re-verified, and a "no" comes from an exhausted search or a
+    checked restriction certificate: linear quotients pass from I(G)^q to
+    I(G[W])^q, so a search on an induced 2K2 G[W] exhausted within budget is one.
     """
+    w = find_induced(g, TWO_K2)
+    if w is not None and q + 1 <= cap:  # I(G[W])^q has q + 1 edge multisets
+        res = find_lq_order(power_generators(edge_ideal(induced_subgraph(g, w)), q, cap), budget)
+        if res.status == "none":
+            return {"verdict": "no", "by": "restriction", "W": list(w), "nodes": res.nodes}, None
     try:
         pg = power_generators(edge_ideal(g), q, cap)
     except CapExceeded as e:
         return {"verdict": "unknown", "reason": str(e)}, None
     res = find_lq_order(pg, budget)
     if res.status == "none":
-        return {"verdict": "no", "nodes": res.nodes}, None
+        return {"verdict": "no", "by": "search", "nodes": res.nodes}, None
     if res.status == "unknown":
         reason = f"budget of {budget} nodes exhausted"
         return {"verdict": "unknown", "nodes": res.nodes, "reason": reason}, None
@@ -126,6 +135,7 @@ def search_verdict(
         raise AssertionError("search returned an order that fails verification")
     record = {
         "verdict": "yes",
+        "by": "search",
         "order": [list(ms) for ms in res.ordering.multisets()],
         "nodes": res.nodes,
         "backtracks": res.backtracks,

@@ -37,7 +37,7 @@ PINS = {
     "duplication fig2 at x": "9c6c43213ec5a55d0fcd04a098485b4e6ea1f312ea3ebb83ec4dcaa13c1ccdc9",
     "expansion fig2 at x, B=(2, 3)": "bc404a87038bd02dd95c0b3e44a6f1fd0238d1ed06fe86689d60593645b9bfbe",
     "expansion fig2 at x, B=(3, 2)": "b7c50bcd4a50b8343ea30e28e25e16e8d7e5d66b9fb0ff6d2affa2fec192405f",
-    "scan n=4 q<=2": "5e69a2b90fe35968aef1e481645c97ced6f2d64f186dc41979d493913ccb6b15",
+    "scan n=4 q<=2": "01a4fa7c6238160dbbc38106c172d3fb41460085cde1850887247218c4912a88",
 }
 
 

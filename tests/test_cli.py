@@ -129,6 +129,18 @@ def test_search_commands_name_the_exhausted_budget(capsys):
     assert capsys.readouterr().err == "no square order: unknown after 2 nodes (budget 1)\n"
 
 
+def test_search_commands_name_the_restriction_certificate(capsys):
+    assert cli.main(["find-order", "--graph", "2k2", "--q", "3"]) == FAIL
+    assert capsys.readouterr().err == "no: induced 2K2 on a b c d, whose power q=3 has no order (4 nodes)\n"
+    assert cli.main(["compatible-orders", "--graph", "2k2", "--q", "3"]) == FAIL
+    want = "no square order: no: induced 2K2 on a b c d, whose power q=2 has no order (3 nodes)\n"
+    assert capsys.readouterr().err == want
+    for argv in (["find-order", "--q", "2"], ["compatible-orders", "--q", "3"]):
+        assert cli.main(["--json", *argv, "--graph", "2k2"]) == FAIL
+        record = {"verdict": "no", "by": "restriction", "W": [0, 1, 2, 3], "nodes": 3}
+        assert json.loads(capsys.readouterr().out) == record
+
+
 def test_repro_checks_every_name_before_running_any(monkeypatch, capsys):
     ran = []
     monkeypatch.setitem(harness.REPRO_SUITE, "cdcc6", lambda *args: ran.append(args))

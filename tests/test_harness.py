@@ -6,7 +6,7 @@ import pytest
 
 from linquo import harness
 from linquo.fixtures import c5, fig4, gamma7, two_k2
-from linquo.graphs import Graph, is_cdcc
+from linquo.graphs import Graph, induced_subgraph, is_cdcc, is_gapfree
 from linquo.harness import (
     all_labeled_graphs,
     canonical_form,
@@ -16,6 +16,8 @@ from linquo.harness import (
     nonisomorphic_graphs,
     scan_small_graphs,
 )
+from linquo.linquot import find_lq_order
+from linquo.power_ideals import edge_ideal, power_generators
 
 
 # Classes of graphs on n = 0..6 vertices (OEIS A000088).
@@ -118,6 +120,50 @@ def test_lq_verdict_recorded_orders_verify():
     assert lq_verdict(c5(), 2, cap=3)["verdict"] == "unknown"
 
 
+def test_restriction_agrees_with_the_plain_search(classes):
+    # Every class on at most 5 vertices, q <= 2: a non-gapfree class is
+    # decided on its induced 2K2, a gapfree one by the search on G itself,
+    # and wherever the plain search decides, the verdicts agree.
+    plain = {"none": "no", "found": "yes"}
+    for n in range(6):
+        for g in classes[n]:
+            for q in (1, 2):
+                rec = lq_verdict(g, q, budget=2 * 10**4)
+                if is_gapfree(g):
+                    assert rec["by"] == "search" and "W" not in rec
+                else:
+                    assert rec["verdict"] == "no" and rec["by"] == "restriction"
+                    sub = induced_subgraph(g, rec["W"])
+                    (a, b), (c, d) = sub.edges  # two disjoint edges, nothing else
+                    assert sub.n == 4 and len({a, b, c, d}) == 4
+                    assert rec["nodes"] == q + 1
+                res = find_lq_order(power_generators(edge_ideal(g), q), 2 * 10**4)
+                if res.status != "unknown":
+                    assert rec["verdict"] == plain[res.status]
+
+
+def test_restriction_sub_search_takes_q_plus_one_nodes():
+    # Vertex 0 isolated, the edge 12, and the triangle 456 with 3 hanging off
+    # 4: W is the first induced 2K2 in combinations order.
+    g = Graph(7, [(1, 2), (3, 4), (4, 5), (5, 6), (4, 6)])
+    for q in range(1, 9):
+        want = {"verdict": "no", "by": "restriction", "W": [0, 1, 2, 3], "nodes": q + 1}
+        assert lq_verdict(two_k2(), q) == want
+        assert lq_verdict(g, q) == {**want, "W": [1, 2, 3, 4]}
+
+
+def test_restriction_needs_an_exhausted_sub_search():
+    # The sub-search on I(2K2)^2 takes 3 nodes: a budget of 3 certifies, a
+    # budget of 1 leaves it unfinished and the full search reports the budget.
+    assert lq_verdict(two_k2(), 2, budget=3)["by"] == "restriction"
+    want = {"verdict": "unknown", "nodes": 2, "reason": "budget of 1 nodes exhausted"}
+    assert lq_verdict(two_k2(), 2, budget=1) == want
+    # A cap below the sub-power's 3 multisets: the cap is reported for I(G)^2.
+    p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    rec = lq_verdict(p5, 2, cap=2)
+    assert rec == {"verdict": "unknown", "reason": "10 edge multisets for q=2 over 4 edges exceeds cap 2"}
+
+
 def test_scan_small_graphs_classifier_consistency():
     records = scan_small_graphs(4, 2)
     assert len(records) == 11
@@ -171,7 +217,9 @@ def test_check_theorem64_premises_rejects_a_tower_below_the_square():
 def test_check_theorem64_premises_gap_graph():
     report = check_theorem64_premises(two_k2(), q_through=7)
     assert report["first_failure_q"] == 2
-    assert report["computed"][2]["verdict"] == "no"
+    assert report["computed"][2] == {
+        "verdict": "no", "by": "restriction", "W": [0, 1, 2, 3], "nodes": 3
+    }
     assert report["implied"] is None
 
 
