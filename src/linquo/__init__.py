@@ -17,7 +17,6 @@ from .graphs import (
     matching_number,
 )
 from .linquot import (
-    ExpansionContext,
     GeneratorOrdering,
     LqReport,
     LqWitness,
@@ -26,7 +25,6 @@ from .linquot import (
     SearchResult,
     colon_min_gens,
     duplication_order,
-    expansion_context,
     expansion_order,
     find_lq_order,
     ordering_from_multisets,

@@ -52,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--budget", type=int, default=harness.DEFAULT_BUDGET, help="search node budget")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap on edge multisets")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap: q times the edge multisets of a power")
     sub = p.add_subparsers(dest="command", required=True)
 
     def graph_arg(sp):

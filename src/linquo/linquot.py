@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, complement, duplicate_vertex, expand_vertex, is_gapfree
+from .graphs import complement, duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
 from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators
 
@@ -358,59 +358,6 @@ def duplication_order(
     return GeneratorOrdering(pg_x, seq, "duplication")
 
 
-@dataclass(frozen=True)
-class ExpansionContext:
-    """Book-keeping for ordering the generators of I(G^[x])^s.
-
-    Z = {x, y}; B = N(x) in the complement of G, i.e. V - N_G[x] (independent
-    when the expansion is gapfree); ``mu_values[i]`` is the least number of
-    xy factors a factorization of generator i of ``expanded`` needs.
-    """
-
-    x: int
-    y: int
-    expanded: PowerGenerators
-    xy_edge: int
-    B: tuple[int, ...]
-    b_order: tuple[int, ...]
-    mu_values: tuple[int, ...]
-
-
-def expansion_context(
-    g: Graph,
-    x: int,
-    s: int,
-    b_order: Sequence[int] | None = None,
-    cap: int = DEFAULT_CAP,
-) -> ExpansionContext:
-    """Build the expansion G^[x], its power generators, and the mu values.
-
-    Raises NotGapfree when G^[x] is not gapfree.
-    """
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    gexp = expand_vertex(g, x)
-    if not is_gapfree(gexp):
-        raise NotGapfree(
-            f"expansion at vertex {x} rejected: the expanded graph is not gapfree"
-        )
-    y = g.n
-    pg_exp = power_generators(EdgeIdeal(gexp), s, cap)
-    xy_edge = gexp.edges.index((x, y))
-    mu_values = tuple(
-        min(f.count(xy_edge) for f in pg_exp.factorizations[i])
-        for i in range(pg_exp.count)
-    )
-    B = tuple(sorted(complement(g).adj[x]))
-    if b_order is None:
-        b_order = B
-    else:
-        b_order = tuple(int(b) for b in b_order)
-        if sorted(b_order) != sorted(B):
-            raise ValueError(f"b_order must be a permutation of B = {B}")
-    return ExpansionContext(x, y, pg_exp, xy_edge, B, b_order, mu_values)
-
-
 def expansion_order(
     o: GeneratorOrdering,
     x: int,
@@ -419,37 +366,49 @@ def expansion_order(
 ) -> GeneratorOrdering:
     """Extend a verified order on I(G)^s to one on I(G^[x])^s.
 
-    The prefix is the rows of ``_duplicated_rows`` (the mu = 0 generators);
-    the new generators follow, sorted by (mu, deg on {x,y}, |deg_x - deg_y|,
-    then the B-part lexicographically along b_order, largest first).  Those
-    four rules leave x/y-mirror ties, broken by larger deg_x then by full
-    exponent-vector lex, largest first; the verifier certifies the result,
-    not the proof.
+    With y the new vertex and B = V - N_G[x], mu(u) is the least number of xy
+    factors in a factorization of u.  The prefix is the rows of
+    ``_duplicated_rows`` (the mu = 0 generators); the new generators follow,
+    sorted by (mu, deg on {x,y}, |deg_x - deg_y|, then the B-part
+    lexicographically along b_order, largest first).  Those four rules leave
+    x/y-mirror ties, broken by larger deg_x then by full exponent-vector lex,
+    largest first; the verifier certifies the result, not the proof.
     """
     pg = o.base
-    ctx = expansion_context(pg.ideal.graph, x, pg.q, b_order, cap)
+    g = pg.ideal.graph
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
+    gexp = expand_vertex(g, x)
+    if not is_gapfree(gexp):
+        raise NotGapfree(
+            f"expansion at vertex {x} rejected: the expanded graph is not gapfree"
+        )
+    B = tuple(sorted(complement(g).adj[x]))
+    b_order = B if b_order is None else tuple(int(b) for b in b_order)
+    if sorted(b_order) != list(B):
+        raise ValueError(f"b_order must be a permutation of B = {B}")
     _require_verified(o, "expansion_order")
-    pg_exp = ctx.expanded
+    pg_exp = power_generators(EdgeIdeal(gexp), pg.q, cap)
+    xy, y = len(gexp.edges) - 1, g.n  # xy is the last edge of the expansion
+    mu = [min(f.count(xy) for f in facs) for facs in pg_exp.factorizations]
     seq = [pg_exp.index[row] for row in _duplicated_rows(o, x)]
-    if any(ctx.mu_values[i] != 0 for i in seq):
+    if any(mu[i] for i in seq):
         raise AssertionError("duplication prefix contains a generator with mu > 0")
-
-    xv, yv = ctx.x, ctx.y
     rows = pg_exp.exps.tolist()
 
     def key(i: int):
         m = rows[i]
-        dx, dy = m[xv], m[yv]
+        dx, dy = m[x], m[y]
         return (
-            ctx.mu_values[i],
+            mu[i],
             dx + dy,
             abs(dx - dy),
-            tuple(-m[b] for b in ctx.b_order),
+            tuple(-m[b] for b in b_order),
             -dx,
             tuple(-e for e in m),
         )
 
-    seq += sorted((i for i in range(pg_exp.count) if ctx.mu_values[i] > 0), key=key)
+    seq += sorted((i for i in range(pg_exp.count) if mu[i]), key=key)
     if sorted(seq) != list(range(pg_exp.count)):
         raise AssertionError("expansion order lost or duplicated a generator")
     return GeneratorOrdering(pg_exp, tuple(seq), "expansion")

@@ -10,6 +10,11 @@ broadcast add of the edge rows to the current rows of the exponent matrix
 followed by first-appearance dedup; the final rows are mapped to generator
 indices through ``PowerGenerators.index``.  The constructions differ only in
 where the edge sequence comes from.
+
+For q >= 3 a lifted order puts the pure power e_j^q in e_j's block: only
+e_j^(q-1) e_j multiplies out to it.  Its pure powers thus appear in the edge
+order it was lifted along, so the pure-power lift of I^q to I^(q+1) is the
+compatible order of I^(q+1), and a chain of pure-power lifts is one lift.
 """
 
 from __future__ import annotations
@@ -20,12 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
-from .linquot import (
-    GeneratorOrdering,
-    OrderingPreconditionError,
-    verify_linear_quotients,
-)
-from .power_ideals import DEFAULT_CAP, power_generators
+from .linquot import GeneratorOrdering, OrderingPreconditionError, _require_verified
+from .power_ideals import DEFAULT_CAP, _check_cap, power_generators
 
 
 def _lift(
@@ -37,6 +38,7 @@ def _lift(
 ) -> GeneratorOrdering:
     """Multiply the order ``o`` up to the power ``target_q`` along ``edges``."""
     ideal = o.base.ideal
+    _check_cap(ideal.nedges, target_q, cap)
     n = ideal.nvars
     edge_rows = np.array([[int(v in e) for v in range(n)] for e in edges], dtype=np.int64)
     rows = o.exps()
@@ -165,11 +167,7 @@ def compatible_orders(
         raise OrderingPreconditionError(
             "compatible_orders rejected: the edge ordering is not admissible"
         )
-    report = verify_linear_quotients(o2)
-    if not report.passed:
-        raise OrderingPreconditionError(
-            "compatible_orders rejected: the square order fails verification"
-        )
+    _require_verified(o2, "compatible_orders")
     if target_q == 2:
         return o2
     return _lift(o2, [g.edges[j] for j in eo], target_q, "compatible", cap)

@@ -23,7 +23,18 @@ DEFAULT_CAP = 10**7
 
 
 class CapExceeded(RuntimeError):
-    """Raised when an enumeration would exceed the configured multiset cap."""
+    """Raised when an enumeration would exceed the configured cap."""
+
+
+def _check_cap(s: int, q: int, cap: int) -> None:
+    """Refuse, before any work, the power q of an ideal with s edges when its
+    C(s+q-1, q) edge multisets, q entries each, hold more than cap entries."""
+    multisets = comb(s + q - 1, q)
+    if q * multisets > cap:
+        raise CapExceeded(
+            f"{multisets} edge multisets for q={q} over {s} edges "
+            f"({q * multisets} entries) exceed cap {cap}"
+        )
 
 
 class EdgeIdeal:
@@ -63,11 +74,7 @@ class PowerGenerators:
         if q < 1:
             raise ValueError("power must be >= 1")
         s = ideal.nedges
-        total = comb(s + q - 1, q) if s > 0 else 0
-        if total > cap:
-            raise CapExceeded(
-                f"{total} edge multisets for q={q} over {s} edges exceeds cap {cap}"
-            )
+        _check_cap(s, q, cap)
         factorizations: list[list[tuple[int, ...]]] = []
         index: dict[tuple[int, ...], int] = {}
         multiset_index: dict[tuple[int, ...], int] = {}

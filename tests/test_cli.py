@@ -34,6 +34,10 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
         (["classify", "--graph", "no-such-fixture"], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
         (["--cap", "3", "powers", "--graph", "c5", "--q", "2"], BUDGET),
+        (["powers", "--graph", "2k2", "--q", "1000000"], BUDGET),
+        (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "200"], BUDGET),
+        (["find-order", "--graph", "2k2", "--q", "1000000"], BUDGET),
+        (["scan", "--n", "8"], USAGE),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )

@@ -1,10 +1,11 @@
 import functools
 import random
+import sys
 from itertools import combinations, islice, permutations
 
 import pytest
 
-from linquo import harness
+from linquo import fixtures, harness, linquot
 from linquo.fixtures import c5, fig4, gamma7, two_k2
 from linquo.graphs import Graph, induced_subgraph, is_cdcc, is_gapfree
 from linquo.harness import (
@@ -158,10 +159,12 @@ def test_restriction_needs_an_exhausted_sub_search():
     assert lq_verdict(two_k2(), 2, budget=3)["by"] == "restriction"
     want = {"verdict": "unknown", "nodes": 2, "reason": "budget of 1 nodes exhausted"}
     assert lq_verdict(two_k2(), 2, budget=1) == want
-    # A cap below the sub-power's 3 multisets: the cap is reported for I(G)^2.
+    # A cap below the sub-power's 3 multisets of 2 entries: the cap is
+    # reported for I(G)^2.
     p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     rec = lq_verdict(p5, 2, cap=2)
-    assert rec == {"verdict": "unknown", "reason": "10 edge multisets for q=2 over 4 edges exceeds cap 2"}
+    reason = "10 edge multisets for q=2 over 4 edges (20 entries) exceed cap 2"
+    assert rec == {"verdict": "unknown", "reason": reason}
 
 
 def test_scan_small_graphs_classifier_consistency():
@@ -194,9 +197,7 @@ def test_scan_rejects_large_n(monkeypatch):
     for n in (8, 9):
         with pytest.raises(ValueError):
             next(nonisomorphic_graphs(n))
-    monkeypatch.setattr(harness, "nonisomorphic_graphs", enumerate_nothing)
-    for n in (8, 9):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # the same refusal, through the scan
             scan_small_graphs(n, 1)
 
 
@@ -212,6 +213,26 @@ def test_check_theorem64_premises_rejects_a_tower_below_the_square():
     for q_through in (1, 0):
         with pytest.raises(ValueError):
             check_theorem64_premises(c5(), q_through=q_through)
+
+
+def test_check_theorem64_premises_verifies_each_power_once(monkeypatch):
+    # The supplied square is checked, then checked once more with the edge
+    # order when the cube is built; every later power is lifted from the one
+    # below and verified once.
+    orig = linquot.verify_linear_quotients
+    verified = []
+
+    def counted(o):
+        verified.append(o.base.q)
+        return orig(o)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linquo") and getattr(module, "verify_linear_quotients", None) is orig:
+            monkeypatch.setattr(module, "verify_linear_quotients", counted)
+    o2 = fixtures.builtin_order("fig4", power_generators(edge_ideal(fig4()), 2))
+    report = check_theorem64_premises(fig4(), o2=o2)
+    assert report["holds_through"] == 7
+    assert verified == [2, 2, 3, 4, 5, 6, 7]
 
 
 def test_check_theorem64_premises_gap_graph():

@@ -27,7 +27,6 @@ from linquo.linquot import (
     _extends,
     colon_min_gens,
     duplication_order,
-    expansion_context,
     expansion_order,
     find_lq_order,
     ordering_from_multisets,
@@ -237,21 +236,21 @@ P3 = Graph(3, [(0, 1), (1, 2)], labels=("a", "x", "b"))
 
 
 def test_expansion_order_p3_all_b_orders():
+    # Nothing lies outside the closed neighborhood of x: B is empty.
     for s in (1, 2):
         pg = power_generators(edge_ideal(P3), s)
         base = find_lq_order(pg).ordering
-        ctx = expansion_context(P3, 1, s)
-        assert ctx.B == ()  # nothing outside the closed neighborhood
         o = expansion_order(base, 1)
+        assert o.sequence == expansion_order(base, 1, ()).sequence
         assert verify_linear_quotients(o).passed
         assert o.provenance == "expansion"
 
 
 def test_expansion_order_fig2_both_b_orders():
     base = ordering(fig2(), 2, FIG2_SQUARE)
-    ctx = expansion_context(fig2(), 4, 2)
-    assert set(ctx.B) == {2, 3}  # p and q
-    for b in permutations(ctx.B):
+    # B is p and q; with no b_order, B is taken in label order
+    assert expansion_order(base, 4).sequence == expansion_order(base, 4, (2, 3)).sequence
+    for b in permutations((2, 3)):
         o = expansion_order(base, 4, b)
         assert verify_linear_quotients(o).passed
 
@@ -260,62 +259,73 @@ def test_expansion_gate_rejects_dependent_exterior():
     ist = ordering(c5(), 2, ISTANBUL)
     with pytest.raises(NotGapfree):
         expansion_order(ist, 0)
-    with pytest.raises(NotGapfree):
-        expansion_context(c5(), 0, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        expansion_order(ist, 5)
 
 
 def test_expansion_gate_is_the_gapfree_test_on_the_expansion():
     # ab and cd with x adjacent to a and c: the exterior {b, d} of x is
     # independent, yet G^[x] keeps ab and cd unjoined, so it is not gapfree.
+    # The gate comes before the base order is verified: this one fails.
     a, b, c, d, x = range(5)
     g = Graph(5, [(a, b), (c, d), (x, a), (x, c)])
+    o = first_power_ordering(g, (0, 1, 2, 3))
+    assert not verify_linear_quotients(o).passed
     with pytest.raises(NotGapfree):
-        expansion_context(g, x, 1)
+        expansion_order(o, x)
 
 
-def test_expansion_context_b_order_validation():
+def test_expansion_order_b_order_validation():
+    base = ordering(fig2(), 2, FIG2_SQUARE)
     with pytest.raises(ValueError):
-        expansion_context(fig2(), 4, 2, b_order=(2, 2))
+        expansion_order(base, 4, b_order=(2, 2))
     with pytest.raises(ValueError):
-        expansion_context(fig2(), 4, 2, b_order=(2, 3, 4))
+        expansion_order(base, 4, b_order=(2, 3, 4))
+
+
+def _mu(pg, m):
+    """The least number of xy factors, xy the last edge of the expansion,
+    over the factorizations of the generator m."""
+    xy = pg.ideal.nedges - 1
+    return min(f.count(xy) for f in pg.factorizations[pg.index[m.exps]])
 
 
 def test_mu_values():
-    ctx = expansion_context(fig2(), 4, 2)
-    mus, index = ctx.mu_values, ctx.expanded.index
+    o = expansion_order(ordering(fig2(), 2, FIG2_SQUARE), 4)
+    pg = o.base
     y = 6
     # a generator of the duplicated ideal's power keeps mu = 0
-    w0 = from_vars(7, [0, 4, 0, 4])  # (ax)^2
-    assert mus[index[w0.exps]] == 0
+    assert _mu(pg, from_vars(7, [0, 4, 0, 4])) == 0  # (ax)^2
     # (xy)^s needs every factor
-    top = from_vars(7, [4, y, 4, y])
-    assert mus[index[top.exps]] == 2
+    assert _mu(pg, from_vars(7, [4, y, 4, y])) == 2
     # (xy) * ab refactors as (xa)(yb) since a and b both neighbor x
-    w1 = from_vars(7, [4, y, 0, 1])
-    assert mus[index[w1.exps]] == 0
+    assert _mu(pg, from_vars(7, [4, y, 0, 1])) == 0
     # (xy) * pz cannot avoid the clique edge: p is outside N(x)
-    w2 = from_vars(7, [4, y, 2, 5])
-    assert mus[index[w2.exps]] == 1
-    assert from_vars(7, [0, 0, 0, 0]).exps not in index  # a^4 is not a generator
+    assert _mu(pg, from_vars(7, [4, y, 2, 5])) == 1
+    assert from_vars(7, [0, 0, 0, 0]).exps not in pg.index  # a^4 is not a generator
+    mus = [_mu(pg, m) for m in o.monomials()]
+    assert mus == sorted(mus)  # rule 1 dominates the suffix sort
 
 
 def test_mu_against_direct_minimum():
-    # mu equals the least number of clique-edge factors over all factorizations
-    ctx = expansion_context(P3, 1, 2)
-    pg = ctx.expanded
-    for i in range(pg.count):
-        direct = min(f.count(ctx.xy_edge) for f in pg.factorizations[i])
-        assert ctx.mu_values[i] == direct
+    # The order is the mu = 0 generators, the duplication order, and then
+    # the rest sorted by mu, the least clique-edge count over factorizations.
+    for s in (1, 2, 3):
+        base = find_lq_order(power_generators(edge_ideal(P3), s)).ordering
+        o = expansion_order(base, 1)
+        k = len(duplication_order(base, 1))
+        mus = [_mu(o.base, m) for m in o.monomials()]
+        assert mus[:k] == [0] * k and all(mus[k:]) and mus == sorted(mus)
+        assert max(mus) == s
 
 
 def test_expansion_prefix_is_duplication_order():
     base = ordering(fig2(), 2, FIG2_SQUARE)
     o = expansion_order(base, 4)
-    ctx = expansion_context(fig2(), 4, 2)
     dup = duplication_order(base, 4)
     prefix = o.monomials()[: len(dup)]
     assert [m.exps for m in prefix] == [m.exps for m in dup.monomials()]
-    suffix_mus = [ctx.mu_values[ctx.expanded.index[m.exps]] for m in o.monomials()[len(dup):]]
+    suffix_mus = [_mu(o.base, m) for m in o.monomials()[len(dup):]]
     assert all(v > 0 for v in suffix_mus)
     assert suffix_mus == sorted(suffix_mus)  # rule 1 dominates the suffix sort
 

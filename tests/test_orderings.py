@@ -238,3 +238,52 @@ def test_compatible_orders_failing_searched_square_regression():
     # ideal's
     pg3 = power_generators(edge_ideal(g), 3)
     assert find_lq_order(pg3, budget=400000).status == "found"
+
+
+def _lemma_cases():
+    """(graph, edge order, verified square): fig2 and fig4 with their
+    pure-power edge orders, c5 with the peel order, and random gapfree graphs
+    with a searched square, its automatic edge order and, when one turns up
+    among 20 shuffles of it, another admissible edge order."""
+    for g, mss in ((fig2(), FIG2_SQUARE), (fig4(), FIG4_SQUARE)):
+        o2 = ordering(g, 2, mss)
+        yield g, pure_power_edge_sequence(o2), o2
+    yield c5(), admissible_order(c5()), ordering(c5(), 2, ISTANBUL)
+    rng = random.Random(67)
+    found = 0
+    while found < 30:
+        n = rng.randint(4, 6)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
+        if not 2 <= len(g.edges) <= 10 or not is_gapfree(g):
+            continue
+        res = find_lq_order(power_generators(edge_ideal(g), 2), budget=20000)
+        if res.status != "found":
+            continue
+        eo = auto_edge_order(g, res.ordering)[0]
+        if is_admissible(g, eo):
+            found += 1
+            yield g, eo, res.ordering
+            for _ in range(20):
+                other = tuple(rng.sample(eo, len(eo)))
+                if other != eo and is_admissible(g, other):
+                    yield g, other, res.ordering
+                    break
+
+
+def test_pure_power_lift_of_a_compatible_order_is_the_next_one():
+    # For q >= 3 the pure powers of a lifted order appear in the edge order
+    # it was lifted along, so lifting by them gives the next compatible order,
+    # and a chain of pure-power lifts gives the lift from the square.
+    apart = 0  # cases whose edge order is not the square's pure-power order
+    for g, eo, o2 in _lemma_cases():
+        apart += tuple(eo) != pure_power_edge_sequence(o2)
+        o = compatible_orders(g, eo, o2, 3)
+        chained = efficient_ordering(o2, 3)
+        for q in (3, 4):
+            assert pure_power_edge_sequence(o) == tuple(eo)
+            nxt = compatible_orders(g, eo, o2, q + 1)
+            o = efficient_ordering(o, q + 1)
+            assert o.sequence == nxt.sequence
+            chained = efficient_ordering(chained, q + 1)
+            assert chained.sequence == efficient_ordering(o2, q + 1).sequence
+    assert apart > 10

@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
-from linquo.fixtures import c5, fig2, fig4
+from linquo.fixtures import ISTANBUL, c5, fig2, fig4
 from linquo.graphs import Graph
 from linquo.linquot import _duplicated_rows, ordering_from_multisets
+from linquo.orderings import efficient_ordering
 from linquo.power_ideals import CapExceeded, edge_ideal, power_generators
 
 
@@ -126,3 +128,30 @@ def test_expansion_new_generators():
 def test_cap_aborts_cleanly():
     with pytest.raises(CapExceeded):
         power_generators(edge_ideal(fig2()), 5, cap=100)
+
+
+def test_cap_bounds_entries_not_just_multisets():
+    # One or two edges have q + 1 or fewer multisets at any q, but each holds
+    # q entries: 2K2 at q = 10^6 and K2 at q = 10^8 are refused at once.
+    two_k2 = edge_ideal(Graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(CapExceeded, match=r"1000001 edge multisets .* exceed cap 10000000"):
+        power_generators(two_k2, 10**6)
+    with pytest.raises(CapExceeded):
+        power_generators(edge_ideal(Graph(2, [(0, 1)])), 10**8)
+    # the limit itself: q * C(s + q - 1, q) entries may equal the cap
+    assert power_generators(two_k2, 3, cap=12).count == 4
+    with pytest.raises(CapExceeded):
+        power_generators(two_k2, 3, cap=11)
+
+
+def test_cap_is_checked_before_the_lift():
+    # I(C5)^30 has 46,376 multisets: the lift is refused before any row of it.
+    ist = ordering_from_multisets(power_generators(edge_ideal(c5()), 2), ISTANBUL)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            efficient_ordering(ist, 30, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
