@@ -177,7 +177,7 @@ def parse_order_file(text: str) -> list[tuple[int, ...]]:
 
 
 def format_order(o: GeneratorOrdering) -> str:
-    lines = [" ".join(str(j) for j in ms) for ms in o.multisets()]
+    lines = [" ".join(map(str, ms)) for ms in o.multisets()]
     return "\n".join(lines) + "\n"
 
 

@@ -34,12 +34,13 @@ from .linquot import (
     GeneratorOrdering,
     NotGapfree,
     OrderingPreconditionError,
+    _require_verified,
     duplication_order,
     expansion_order,
     find_lq_order,
     verify_linear_quotients,
 )
-from .orderings import auto_edge_order, compatible_orders, efficient_ordering
+from .orderings import _compatible_lift, auto_edge_order, efficient_ordering
 from .power_ideals import CapExceeded, DEFAULT_CAP, edge_ideal, power_generators
 
 MAX_ENUM_N = 7  # n = 8: 1,044 classes x 128 neighbourhoods, each relabeled up to 8! ways
@@ -183,16 +184,17 @@ def check_theorem64_premises(
 ) -> dict:
     """Verify the bounded tower of compatible orders up to q_through.
 
-    Builds (or accepts) a verified order on the square, derives the edge
-    order from its pure-power appearance when that order is admissible (the
-    peel construction otherwise), then constructs and verifies the compatible
-    order of every power up to q_through.  ``compatible_orders`` checks the
-    edge order and the square once, for the cube; each later power is the
-    pure-power lift of the one below, which is its compatible order (see
-    ``orderings``).  When the tower holds through 7, all later powers inherit
-    linear quotients; that conclusion is reported under ``implied``, separate
-    from what was computed.  ``q_through`` below 2 raises ValueError: the
-    tower starts at the square.
+    Searches (or accepts) an order on the square and verifies it once, derives
+    the edge order from its pure-power appearance when that order is
+    admissible (the peel construction otherwise), then constructs and
+    verifies the compatible order of every power up to q_through.  The cube
+    lifts the square along the edge order; each later power is the pure-power
+    lift of the one below, which is its compatible order (see ``orderings``).
+    A supplied square that fails verification raises
+    OrderingPreconditionError.  When the tower holds through 7, all later
+    powers inherit linear quotients; that conclusion is reported under
+    ``implied``, separate from what was computed.  ``q_through`` below 2
+    raises ValueError: the tower starts at the square.
     """
     if q_through < 2:
         raise ValueError(f"q_through must be at least 2, got {q_through}")
@@ -206,15 +208,15 @@ def check_theorem64_premises(
             report["holds_through"] = None
             report["implied"] = None
             return report
-    elif not verify_linear_quotients(o2).passed:
-        raise OrderingPreconditionError("supplied square order fails verification")
+    else:
+        _require_verified(o2, "check_theorem64_premises")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}
     eo, report["edge_order_source"] = auto_edge_order(g, o2)
     report["edge_order"] = list(eo)
     holds = 2
     for q in range(3, q_through + 1):
         try:
-            o = compatible_orders(g, eo, o2, q, cap) if q == 3 else efficient_ordering(o, q, cap)
+            o = _compatible_lift(g, eo, o2, q, cap) if q == 3 else efficient_ordering(o, q, cap)
         except (CapExceeded, OrderingPreconditionError) as e:
             report["computed"][q] = {"verdict": "unknown", "reason": str(e)}
             break

@@ -10,9 +10,10 @@ big-int operations, not O(r^2 * n) exponent comparisons.
 
 The verifier and the search work on the exponent matrix
 ``PowerGenerators.exps`` directly (the verifier on its rows in the order's
-sequence); the transports map exponent tuples back to generator indices
-through ``PowerGenerators.index``.  ``Monomial`` appears only in witnesses,
-in the colon oracle and in ``GeneratorOrdering.monomials()``.
+sequence); the transports map exponent rows to generator indices with
+``PowerGenerators.locate``, and orders are written as ``PowerGenerators.least``
+factorizations.  ``Monomial`` appears only in witnesses, in the colon oracle
+and in ``GeneratorOrdering.monomials()``.
 
 Both transports start from one duplication rule, ``_duplicated_rows``: each
 generator u, then its substitutes u y^k / x^k.  Duplication maps those rows
@@ -74,9 +75,8 @@ class GeneratorOrdering:
         return [Monomial(row) for row in self.exps().tolist()]
 
     def multisets(self) -> list[tuple[int, ...]]:
-        """One representative factorization per generator, in order."""
-        facs = self.base.factorizations
-        return [min(facs[i]) for i in self.sequence]
+        """The least factorization of each generator, in order."""
+        return list(map(tuple, self.base.least[list(self.sequence)].tolist()))
 
 
 def ordering_from_multisets(
@@ -89,14 +89,16 @@ def ordering_from_multisets(
     Each multiset must be a valid size-q factorization, and the sequence must
     hit every generator exactly once.
     """
-    seq: list[int] = []
+    keys: list[tuple[int, ...]] = []
     for ms in multisets:
         key = tuple(sorted(int(j) for j in ms))
         if len(key) != pg.q:
             raise ValueError(f"multiset {key} does not have q={pg.q} edges")
-        if key not in pg.multiset_index:
+        if not all(0 <= j < pg.ideal.nedges for j in key):
             raise ValueError(f"{key} is not a factorization of any generator")
-        seq.append(pg.multiset_index[key])
+        keys.append(key)
+    ms = np.array(keys, dtype=np.int64).reshape(len(keys), pg.q)
+    seq = pg.locate(sum(pg.ideal.rows[ms[:, k]] for k in range(pg.q)))
     if sorted(seq) != list(range(pg.count)):
         raise ValueError("multisets do not enumerate each generator exactly once")
     return GeneratorOrdering(pg, tuple(seq), provenance)
@@ -249,7 +251,8 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     Prefixes are extended by any generator whose colon ideal against the
     prefix is variable-generated; candidates sharing the most support
     variables with the prefix are tried first, ties by index.  Exhausting the
-    tree proves no order exists; hitting the node budget reports unknown.
+    tree proves no order exists; hitting the node budget reports unknown.  No
+    prefix is entered whose set was exhausted before under another order.
 
     The prefix, its support and each generator's support are int bitmasks.
     The first time a candidate is tested, ``_colon_tables`` computes its
@@ -270,6 +273,10 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     # support alone and sorted is stable, so ties stay in index order and
     # dropping the prefix from the list keeps the order of the rest.
     orders: dict[int, list[int]] = {}
+    # Exhausted prefix sets: whether c extends a prefix depends on its set
+    # alone, so a set dead under one order of its members is dead under all.
+    # A dead set was entered, so it is reached only through a c that extends.
+    dead: set[int] = set()
 
     def candidates(mask: int, support: int) -> Iterator[int]:
         order = orders.get(support)
@@ -293,11 +300,12 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
         for c in untried:
             if tables[c] is None:
                 tables[c] = _colon_tables(E, c)
-            if _extends(tables[c], mask):
+            if _extends(tables[c], mask) and mask | 1 << c not in dead:
                 break
         else:
             if not stack:
                 return SearchResult("none", None, nodes, backtracks)
+            dead.add(mask)
             mask, support, untried = stack.pop()
             prefix.pop()
             backtracks += 1
@@ -352,7 +360,7 @@ def duplication_order(
         raise ValueError(f"vertex {x} out of range")
     _require_verified(o, "duplication_order")
     pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q, cap)
-    seq = tuple(pg_x.index[row] for row in _duplicated_rows(o, x))
+    seq = tuple(pg_x.locate(_duplicated_rows(o, x)))
     if sorted(seq) != list(range(pg_x.count)):
         raise AssertionError("duplication order lost or duplicated a generator")
     return GeneratorOrdering(pg_x, seq, "duplication")
@@ -391,7 +399,7 @@ def expansion_order(
     pg_exp = power_generators(EdgeIdeal(gexp), pg.q, cap)
     xy, y = len(gexp.edges) - 1, g.n  # xy is the last edge of the expansion
     mu = [min(f.count(xy) for f in facs) for facs in pg_exp.factorizations]
-    seq = [pg_exp.index[row] for row in _duplicated_rows(o, x)]
+    seq = pg_exp.locate(_duplicated_rows(o, x))
     if any(mu[i] for i in seq):
         raise AssertionError("duplication prefix contains a generator with mu > 0")
     rows = pg_exp.exps.tolist()

@@ -5,11 +5,11 @@ from an admissible edge order plus a square order.
 Both recursive constructions end in one lift routine, ``_lift``: given an
 order u_1 > ... > u_r of the generators of I^q and an edge sequence
 f_1, ..., f_s, the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 >
-... > u_r f_s with a product omitted when it already appeared.  A step is one
-broadcast add of the edge rows to the current rows of the exponent matrix
-followed by first-appearance dedup; the final rows are mapped to generator
-indices through ``PowerGenerators.index``.  The constructions differ only in
-where the edge sequence comes from.
+... > u_r f_s with a product omitted when it already appeared.  A step adds
+each edge row to the current rows and keeps first appearances, keyed by the
+bytes of each row; the final rows are mapped to generator indices with
+``PowerGenerators.locate``.  The constructions differ only in where the edge
+sequence comes from.
 
 For q >= 3 a lifted order puts the pure power e_j^q in e_j's block: only
 e_j^(q-1) e_j multiplies out to it.  Its pure powers thus appear in the edge
@@ -26,30 +26,29 @@ import numpy as np
 
 from .graphs import Graph
 from .linquot import GeneratorOrdering, OrderingPreconditionError, _require_verified
-from .power_ideals import DEFAULT_CAP, _check_cap, power_generators
+from .power_ideals import DEFAULT_CAP, _check_cap, power_generators, row_keys
 
 
 def _lift(
     o: GeneratorOrdering,
-    edges: Sequence[tuple[int, int]],
+    edges: Sequence[int],
     target_q: int,
     provenance: str,
     cap: int,
 ) -> GeneratorOrdering:
-    """Multiply the order ``o`` up to the power ``target_q`` along ``edges``."""
+    """Multiply the order ``o`` up to the power ``target_q`` along the edge
+    indices ``edges``."""
     ideal = o.base.ideal
     _check_cap(ideal.nedges, target_q, cap)
-    n = ideal.nvars
-    edge_rows = np.array([[int(v in e) for v in range(n)] for e in edges], dtype=np.int64)
     rows = o.exps()
     for _ in range(o.base.q, target_q):
-        # One edge block at a time keeps the transient lists to one block.
-        keys: dict[tuple[int, ...], None] = {}
-        for e in edge_rows:
-            keys.update(dict.fromkeys(map(tuple, (rows + e).tolist())))
-        rows = np.array(list(keys), dtype=np.int64).reshape(len(keys), n)
+        # One edge block at a time keeps the transient keys to one block.
+        keys: dict[bytes, None] = {}
+        for e in ideal.rows[list(edges)]:
+            keys.update(dict.fromkeys(row_keys(rows + e)))
+        rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
     pg = power_generators(ideal, target_q, cap)
-    seq = tuple(pg.index[k] for k in keys)
+    seq = tuple(pg.locate(rows))
     if sorted(seq) != list(range(pg.count)):
         raise AssertionError(f"{provenance} order lost or duplicated a generator")
     return GeneratorOrdering(pg, seq, provenance)
@@ -61,10 +60,8 @@ def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:
     pos = [0] * pg.count
     for k, i in enumerate(o.sequence):
         pos[i] = k
-    pure = pg.multiset_index
-    return tuple(
-        sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[(j,) * pg.q]])
-    )
+    pure = pg.locate(pg.q * pg.ideal.rows)
+    return tuple(sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[j]]))
 
 
 def efficient_ordering(
@@ -80,8 +77,7 @@ def efficient_ordering(
         raise ValueError(f"target power {target_s} below base power {pg.q}")
     if target_s == pg.q:
         return o
-    edges = [pg.ideal.edges[j] for j in pure_power_edge_sequence(o)]
-    return _lift(o, edges, target_s, "efficient", cap)
+    return _lift(o, pure_power_edge_sequence(o), target_s, "efficient", cap)
 
 
 def admissible_order(g: Graph) -> tuple[int, ...]:
@@ -152,10 +148,18 @@ def compatible_orders(
 ) -> GeneratorOrdering:
     """Build the compatible order for I^target_q from (edge order, square order).
 
-    The edge order must be admissible and the square order must verify; the
+    The square order must verify and the edge order must be admissible; the
     recursion then multiplies block-by-block along the edge order with
     first-appearance dedup.  target_q == 2 returns the square order itself.
     """
+    _require_verified(o2, "compatible_orders")
+    return _compatible_lift(g, eo, o2, target_q, cap)
+
+
+def _compatible_lift(
+    g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int, cap: int
+) -> GeneratorOrdering:
+    """``compatible_orders`` for a square order its caller has verified."""
     pg2 = o2.base
     if pg2.ideal.graph != g:
         raise ValueError("square order belongs to a different graph")
@@ -167,7 +171,6 @@ def compatible_orders(
         raise OrderingPreconditionError(
             "compatible_orders rejected: the edge ordering is not admissible"
         )
-    _require_verified(o2, "compatible_orders")
     if target_q == 2:
         return o2
-    return _lift(o2, [g.edges[j] for j in eo], target_q, "compatible", cap)
+    return _lift(o2, eo, target_q, "compatible", cap)

@@ -17,7 +17,7 @@ from linquo.harness import (
     nonisomorphic_graphs,
     scan_small_graphs,
 )
-from linquo.linquot import find_lq_order
+from linquo.linquot import OrderingPreconditionError, find_lq_order, ordering_from_multisets
 from linquo.power_ideals import edge_ideal, power_generators
 
 
@@ -216,9 +216,9 @@ def test_check_theorem64_premises_rejects_a_tower_below_the_square():
 
 
 def test_check_theorem64_premises_verifies_each_power_once(monkeypatch):
-    # The supplied square is checked, then checked once more with the edge
-    # order when the cube is built; every later power is lifted from the one
-    # below and verified once.
+    # The square is checked once, before the cube is lifted from it along the
+    # edge order; every later power is lifted from the one below and verified
+    # once.
     orig = linquot.verify_linear_quotients
     verified = []
 
@@ -232,7 +232,22 @@ def test_check_theorem64_premises_verifies_each_power_once(monkeypatch):
     o2 = fixtures.builtin_order("fig4", power_generators(edge_ideal(fig4()), 2))
     report = check_theorem64_premises(fig4(), o2=o2)
     assert report["holds_through"] == 7
-    assert verified == [2, 2, 3, 4, 5, 6, 7]
+    assert verified == [2, 3, 4, 5, 6, 7]
+    # A searched square's only verification is the search's own.
+    verified.clear()
+    assert check_theorem64_premises(fig4(), q_through=4)["holds_through"] == 4
+    assert verified == [2, 3, 4]
+
+
+def test_check_theorem64_premises_rejects_a_failing_supplied_square():
+    pg = power_generators(edge_ideal(c5()), 2)
+    failing = ordering_from_multisets(pg, list(reversed(fixtures.ISTANBUL)))
+    for q_through in (2, 7):
+        with pytest.raises(
+            OrderingPreconditionError,
+            match="check_theorem64_premises requires a verified linear-quotients order",
+        ):
+            check_theorem64_premises(c5(), q_through=q_through, o2=failing)
 
 
 def test_check_theorem64_premises_gap_graph():

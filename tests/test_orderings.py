@@ -15,6 +15,7 @@ from linquo.fixtures import (
 )
 from linquo.graphs import Graph, is_gapfree
 from linquo.linquot import (
+    GeneratorOrdering,
     OrderingPreconditionError,
     find_lq_order,
     ordering_from_multisets,
@@ -30,7 +31,7 @@ from linquo.orderings import (
 )
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import from_vars
+from helpers import eager_power, from_vars
 
 
 def ordering(g, q, multisets):
@@ -53,8 +54,8 @@ def reference_lift(o, edge_seq, target_q):
                 m[v] += 1
                 out.setdefault(tuple(m))
         rows = list(out)
-    pg = power_generators(edge_ideal(g), target_q)
-    return tuple(pg.index[row] for row in rows)
+    index = eager_power(g, target_q)[0]
+    return tuple(index[row] for row in rows)
 
 
 def test_pure_power_edge_sequence():
@@ -268,6 +269,22 @@ def _lemma_cases():
                 if other != eo and is_admissible(g, other):
                     yield g, other, res.ordering
                     break
+
+
+def test_lift_keys_are_exact_past_64_vertices():
+    # Rows of a graph on 70 vertices: a mixed-radix int64 key would need
+    # (q + 2)^70 > 2^63 values, so only exact keys lift it correctly.
+    rng = random.Random(43)
+    g = Graph(70, [tuple(rng.sample(range(70), 2)) for _ in range(9)] + [(0, 69)])
+    pg2 = power_generators(edge_ideal(g), 2)
+    seq = list(range(pg2.count))
+    rng.shuffle(seq)
+    o2 = GeneratorOrdering(pg2, tuple(seq))
+    eo = pure_power_edge_sequence(o2)
+    o4 = efficient_ordering(o2, 4)
+    assert o4.sequence == reference_lift(o2, eo, 4)
+    facs = eager_power(g, 4)[1]
+    assert o4.multisets() == [min(facs[i]) for i in o4.sequence]
 
 
 def test_pure_power_lift_of_a_compatible_order_is_the_next_one():

@@ -3,13 +3,17 @@ import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
-from linquo.fixtures import ISTANBUL, c5, fig2, fig4
+from linquo.fixtures import FIG4_SQUARE, ISTANBUL, c5, fig2, fig4, named_graph
 from linquo.graphs import Graph
-from linquo.linquot import _duplicated_rows, ordering_from_multisets
-from linquo.orderings import efficient_ordering
+from linquo.harness import nonisomorphic_graphs
+from linquo.linquot import _duplicated_rows, duplication_order, ordering_from_multisets
+from linquo.orderings import efficient_ordering, pure_power_edge_sequence
 from linquo.power_ideals import CapExceeded, edge_ideal, power_generators
+
+from helpers import eager_power
 
 
 def test_edge_ideal_generators():
@@ -82,9 +86,10 @@ def brute_force_products(g, q):
 
 def assert_matches_bruteforce(g, q):
     pg = power_generators(edge_ideal(g), q)
-    assert set(pg.index) == brute_force_products(g, q)
-    assert [tuple(row) for row in pg.exps.tolist()] == list(pg.index)
-    assert list(pg.index.values()) == list(range(pg.count))
+    rows = [tuple(row) for row in pg.exps.tolist()]
+    assert set(rows) == brute_force_products(g, q)
+    assert len(rows) == pg.count
+    assert pg.locate(pg.exps) == list(range(pg.count))
 
 
 def test_generators_match_bruteforce_small():
@@ -155,3 +160,52 @@ def test_cap_is_checked_before_the_lift():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _monomials(n, degree):
+    """Every exponent vector of the given degree in n variables."""
+    for vs in combinations_with_replacement(range(n), degree):
+        yield tuple(vs.count(v) for v in range(n))
+
+
+def assert_matches_eager(g, q):
+    index, factorizations, multiset_index = eager_power(g, q)
+    pg = power_generators(edge_ideal(g), q)
+    assert [tuple(row) for row in pg.exps.tolist()] == list(index)
+    assert [tuple(ms) for ms in pg.least.tolist()] == [min(f) for f in factorizations]
+    # every monomial of degree 2q: its generator index, or -1 for one that is
+    # no product of q edges
+    mons = list(_monomials(g.n, 2 * q))
+    assert pg.locate(mons) == [index.get(m, -1) for m in mons]
+    assert pg.locate(np.zeros((1, g.n), dtype=np.int64)) == [-1]
+    assert pg.factorizations == factorizations
+    assert pg.multiset_index == multiset_index
+
+
+def test_generators_match_the_eager_enumeration_on_every_small_class():
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for q in (1, 2, 3):
+                assert_matches_eager(g, q)
+
+
+def test_generators_match_the_eager_enumeration_on_the_fixtures():
+    for name, qs in (("c5", (4,)), ("fig2", (2, 3)), ("fig4", (2, 3)), ("gamma7", (3,)), ("c5k3", (2,))):
+        for q in qs:
+            assert_matches_eager(named_graph(name), q)
+    # 276 edges: edge indices past 255, which a one-byte multiset entry cannot hold
+    assert_matches_eager(Graph(24, list(combinations(range(24), 2))), 2)
+
+
+def test_factorizations_are_built_on_first_use():
+    # Orders are resolved, lifted, written and transported from least and
+    # locate alone; the factorizations wait for a caller that reads them.
+    pg = power_generators(edge_ideal(fig4()), 2)
+    o2 = ordering_from_multisets(pg, FIG4_SQUARE)
+    o3 = efficient_ordering(o2, 3)
+    o2.multisets(), o3.multisets(), pure_power_edge_sequence(o3)
+    dup = duplication_order(o3, 5)
+    for p in (pg, o3.base, dup.base):
+        assert "factorizations" not in vars(p) and "multiset_index" not in vars(p)
+    assert len(pg.multiset_index) == comb(9 + 1, 2)
+    assert "factorizations" in vars(pg)
