@@ -177,7 +177,8 @@ def parse_order_file(text: str) -> list[tuple[int, ...]]:
 
 
 def format_order(o: GeneratorOrdering) -> str:
-    lines = [" ".join(map(str, ms)) for ms in o.multisets()]
+    names = list(map(str, range(o.base.ideal.nedges)))
+    lines = [" ".join(map(names.__getitem__, ms)) for ms in o.multisets()]
     return "\n".join(lines) + "\n"
 
 

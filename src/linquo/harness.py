@@ -250,8 +250,7 @@ def repro_istanbul(check, budget: int, cap: int) -> None:
     check("square has 15 generators", pg.count == 15, count=pg.count)
     for name in ("istanbul", "istanbul-alt"):
         o = fixtures.builtin_order(name, pg)
-        rep = verify_linear_quotients(o)
-        check(f"{name} order verifies", rep.passed)
+        check(f"{name} order verifies", verify_linear_quotients(o).passed)
 
 
 def repro_pentagon_powers(check, budget: int, cap: int) -> None:
@@ -259,13 +258,9 @@ def repro_pentagon_powers(check, budget: int, cap: int) -> None:
     o = fixtures.builtin_order("istanbul", pg)
     for s in (3, 4, 5, 6):
         o = efficient_ordering(o, s, cap)
-        rep = verify_linear_quotients(o)
         want = comb(s + 4, 4)
-        check(
-            f"power {s}: {want} generators, order verifies",
-            len(o) == want and rep.passed,
-            count=len(o),
-        )
+        ok = verify_linear_quotients(o).passed and len(o) == want
+        check(f"power {s}: {want} generators, order verifies", ok, count=len(o))
 
 
 def repro_fig2(check, budget: int, cap: int) -> None:
@@ -282,8 +277,7 @@ def repro_fig2(check, budget: int, cap: int) -> None:
     o = o2
     for s in (3, 4):
         o = efficient_ordering(o, s, cap)
-        rep = verify_linear_quotients(o)
-        check(f"power {s} order verifies", rep.passed, count=len(o))
+        check(f"power {s} order verifies", verify_linear_quotients(o).passed, count=len(o))
 
 
 def repro_fig4(check, budget: int, cap: int) -> None:
@@ -316,10 +310,9 @@ def repro_gamma7(check, budget: int, cap: int) -> None:
         for step in range(3):
             o = duplication_order(o, vertex, cap)
             graph = o.base.ideal.graph
-            rep = verify_linear_quotients(o)
             check(
                 f"power {q}, {graph.n} vertices: duplicated order verifies and CDCC holds",
-                rep.passed and is_cdcc(graph),
+                verify_linear_quotients(o).passed and is_cdcc(graph),
                 count=len(o),
             )
             vertex = graph.n - 1

@@ -3,10 +3,11 @@
 The verification criterion: an ordering u_1 > ... > u_r of equal-degree
 monomials has linear quotients iff for every position t and every earlier i
 with deg(u_i : u_t) > 1 there is an earlier j whose colon u_j : u_t is a
-single variable dividing u_i : u_t.  The verifier finds those variables by
-looking up exchange neighbours (u_t x_v / x_w) and then tests each position
-with one OR of position bitmasks: O(r * n^2) dict lookups and O(r * n)
-big-int operations, not O(r^2 * n) exponent comparisons.
+single variable dividing u_i : u_t.  The verifier finds those variables
+through shared divisors (u_j = m x_v and u_t = m x_w) and then tests each
+position with one OR of position bitmasks: one dict operation per (position,
+support variable) and O(r * n) big-int operations, not O(r^2 * n) exponent
+comparisons.
 
 The verifier and the search work on the exponent matrix
 ``PowerGenerators.exps`` directly (the verifier on its rows in the order's
@@ -37,10 +38,13 @@ import numpy as np
 
 from .graphs import complement, duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
-from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators
+from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators, row_keys
 
 # The node budget of ``find_lq_order`` when the caller names none.
 DEFAULT_BUDGET = 10**6
+
+# Positions whose divisor keys ``verify_linear_quotients`` builds at a time.
+_KEY_BLOCK = 512
 
 
 class NotGapfree(ValueError):
@@ -128,6 +132,25 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     ]
 
 
+def _unit_colon_masks(E: np.ndarray) -> list[int]:
+    """Per row t of E, the bitmask of the v with u_j : u_t = x_v for an
+    earlier row j.  The pairs (t, w), w in supp(u_t), are walked in row order,
+    keyed by the ``row_keys`` of m = u_t / x_w; ``seen[m]`` holds the v of the
+    earlier rows m x_v.  Keys are built ``_KEY_BLOCK`` rows at a time."""
+    masks = [0] * len(E)
+    seen: dict[bytes, int] = {}
+    for start in range(0, len(E), _KEY_BLOCK):
+        block = E[start : start + _KEY_BLOCK]
+        ts, ws = np.nonzero(block)
+        divisors = block[ts]
+        divisors[np.arange(len(ts)), ws] -= 1
+        for t, w, m in zip((ts + start).tolist(), ws.tolist(), row_keys(divisors)):
+            got = seen.get(m, 0)
+            masks[t] |= got
+            seen[m] = got | 1 << w
+    return masks
+
+
 def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     """Check the ordering against the pairwise colon criterion.
 
@@ -136,43 +159,26 @@ def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     variable sets.  Positions with the same variable set share one frozenset.
 
     V_t, the set of variables that are degree-one colons at position t, comes
-    from exchange neighbours: u_j : u_t = x_v exactly when u_j = u_t x_v / x_w.
-    Rows are keyed as mixed-radix ints, and each unordered neighbour pair is
-    looked up once; the later of the two gets the variable in which the
-    earlier is larger.  Position t then passes iff every earlier row exceeds
-    u_t in some variable of V_t, tested as one OR of position bitmasks.
+    from shared divisors: u_j : u_t = x_v exactly when u_j = m x_v and
+    u_t = m x_w for a divisor m of degree 2q - 1.  ``_unit_colon_masks`` keys
+    each (position t, w in supp(u_t)) by m = u_t / x_w, one dict operation
+    per pair.  Position t then passes iff every earlier row exceeds u_t in
+    some variable of V_t, tested as one OR of position bitmasks.
     """
     E = o.exps()
     r, n = E.shape
+    var_masks = _unit_colon_masks(E)
+    # above[v * width + k]: the positions whose exponent of v exceeds k.
+    width = int(E.max(initial=0)) + 1
+    above = _bitmasks((E.T[:, None, :] > np.arange(width)[:, None]).reshape(n * width, r))
     rows = E.tolist()
-    top = int(E.max(initial=0))
-    # Digits run to top + 1 so that a neighbour key never carries into the
-    # next variable's digit.
-    place = [(top + 2) ** v for v in range(n)]
-    keys = [sum(e * p for e, p in zip(row, place)) for row in rows]
-    position = dict(zip(keys, range(r)))
-    var_masks = [0] * r
-    for a, (row, key) in enumerate(zip(rows, keys)):
-        for w in range(1, n):
-            if row[w]:
-                for v in range(w):
-                    b = position.get(key + place[v] - place[w])
-                    if b is None:
-                        continue
-                    if b < a:
-                        var_masks[a] |= 1 << v
-                    else:
-                        var_masks[b] |= 1 << w
-    # above[v][k]: the positions whose exponent of v exceeds k.
-    levels = np.arange(top + 1)[:, None]
-    above = [_bitmasks(E[:, v] > levels) for v in range(n)]
     shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
     witness: LqWitness | None = None
     for t in range(1, r):
         row = rows[t]
         cover = 0
         for v in shared[var_masks[t]]:
-            cover |= above[v][row[v]]
+            cover |= above[v * width + row[v]]
         missing = ~cover & ((1 << t) - 1)
         if missing:
             i = (missing & -missing).bit_length() - 1

@@ -3,6 +3,9 @@
 from itertools import combinations_with_replacement
 from typing import Iterable
 
+import numpy as np
+
+from linquo.linquot import LqReport, LqWitness, _bitmasks
 from linquo.monomials import Monomial
 
 
@@ -37,3 +40,47 @@ def eager_power(g, q):
         factorizations[at].append(multiset)
         multiset_index[multiset] = at
     return index, tuple(tuple(f) for f in factorizations), multiset_index
+
+
+def mixed_radix_verify(o):
+    """The exchange-neighbour verifier that ``verify_linear_quotients``
+    replaced, kept as its oracle: rows keyed as mixed-radix ints, and each
+    unordered neighbour pair u_t x_v / x_w looked up once, the later of the
+    two getting the variable in which the earlier is larger.  Returns the
+    same ``LqReport``."""
+    E = o.exps()
+    r, n = E.shape
+    rows = E.tolist()
+    top = int(E.max(initial=0))
+    # Digits run to top + 1 so that a neighbour key never carries into the
+    # next variable's digit.
+    place = [(top + 2) ** v for v in range(n)]
+    keys = [sum(e * p for e, p in zip(row, place)) for row in rows]
+    position = dict(zip(keys, range(r)))
+    var_masks = [0] * r
+    for a, (row, key) in enumerate(zip(rows, keys)):
+        for w in range(1, n):
+            if row[w]:
+                for v in range(w):
+                    b = position.get(key + place[v] - place[w])
+                    if b is None:
+                        continue
+                    if b < a:
+                        var_masks[a] |= 1 << v
+                    else:
+                        var_masks[b] |= 1 << w
+    levels = np.arange(top + 1)[:, None]
+    above = [_bitmasks(E[:, v] > levels) for v in range(n)]
+    shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
+    witness = None
+    for t in range(1, r):
+        row = rows[t]
+        cover = 0
+        for v in shared[var_masks[t]]:
+            cover |= above[v][row[v]]
+        missing = ~cover & ((1 << t) - 1)
+        if missing:
+            i = (missing & -missing).bit_length() - 1
+            witness = LqWitness(t, i, Monomial(np.maximum(E[i] - E[t], 0)))
+            break
+    return LqReport(witness is None, witness, tuple(shared[m] for m in var_masks))

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from linquo import linquot
 from linquo.fixtures import (
     FIG2_SQUARE,
     FIG4_SQUARE,
@@ -41,7 +42,7 @@ from linquo.orderings import (
 )
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import from_vars
+from helpers import from_vars, mixed_radix_verify
 
 A, B, C, D, E = range(5)
 
@@ -520,6 +521,68 @@ def test_verifier_reports_are_pinned():
         passed, witness, per_index = _report_fields(verify_linear_quotients(build()))
         text = json.dumps([passed, witness, [sorted(s) for s in per_index]])
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def _with_variants(o, rng):
+    """The order, one adjacent swap of it and one shuffle of it."""
+    swapped = list(o.sequence)
+    k = rng.randrange(len(o) - 1)
+    swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+    shuffled = list(o.sequence)
+    rng.shuffle(shuffled)
+    return [o] + [GeneratorOrdering(o.base, tuple(s)) for s in (swapped, shuffled)]
+
+
+def _mixed_radix_corpus():
+    rng = random.Random(47)
+    orders = []
+    for o, top in ((ordering(fig4(), 2, FIG4_SQUARE), 5), (ordering(c5(), 2, ISTANBUL), 10)):
+        for q in range(2, top + 1):
+            lifted = o if q == 2 else efficient_ordering(o, q)
+            orders += _with_variants(lifted, rng)
+    return orders
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_verifier_matches_the_mixed_radix_oracle(monkeypatch, block):
+    # Blocks of 1 and 3 positions make divisor groups span blocks.
+    if block is not None:
+        monkeypatch.setattr(linquot, "_KEY_BLOCK", block)
+    failed = 0
+    for o in _mixed_radix_corpus():
+        got = verify_linear_quotients(o)
+        want = mixed_radix_verify(o)
+        assert got.passed == want.passed
+        assert got.witness == want.witness
+        assert got.per_index_variables == want.per_index_variables
+        failed += not got.passed
+    assert failed == 16  # the 13 shuffles and 3 of the 13 swaps
+
+
+def test_verifier_keys_are_exact_past_64_vertices():
+    # K5 on vertices spread up to 69: divisor keys hold 70 int64 exponents.
+    spread = (0, 31, 64, 66, 69)
+    g = Graph(70, list(combinations(spread, 2)))
+    found = find_lq_order(power_generators(edge_ideal(g), 2)).ordering
+    o = efficient_ordering(found, 3)
+    rep = verify_linear_quotients(o)
+    assert rep.passed and _report_fields(rep) == reference_verify(o)
+    for v in _with_variants(o, random.Random(53)):
+        assert verify_linear_quotients(v) == mixed_radix_verify(v)
+
+
+def test_verifier_memory_on_the_c5_s16_order():
+    # 4,845 generators.  Divisor keys are built in blocks of positions; keys
+    # for the whole order at once peaked at about 4.8 MB.
+    o = efficient_ordering(ordering(c5(), 2, ISTANBUL), 16)
+    tracemalloc.start()
+    try:
+        rep = verify_linear_quotients(o)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and len(o) == 4845
+    assert peak < 2_500_000
 
 
 def test_find_lq_order_depth_is_not_bounded_by_recursion():
