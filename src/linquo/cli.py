@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or verified pass; 1 verified failure or rejection;
-2 usage error or malformed input; 3 budget or cap exhausted.
+2 usage error or malformed input; 3 the node budget ran out or the power is
+over the fixed multiset cap (``power_ideals.CAP``).
 
 A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
 ``find-order``, ``verify``, the order constructions, ``compatible-orders``
@@ -39,7 +40,7 @@ from .orderings import (
     efficient_ordering,
     is_admissible,
 )
-from .power_ideals import DEFAULT_CAP, CapExceeded, edge_ideal, power_generators
+from .power_ideals import CapExceeded, edge_ideal, power_generators
 
 PASS, FAIL, USAGE, BUDGET = 0, 1, 2, 3
 VERDICT_EXIT = {"yes": PASS, "no": FAIL, "fail": FAIL, "unknown": BUDGET}
@@ -52,7 +53,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--budget", type=int, default=harness.DEFAULT_BUDGET, help="search node budget")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap: q times the edge multisets of a power")
     sub = p.add_subparsers(dest="command", required=True)
 
     def graph_arg(sp):
@@ -155,7 +155,7 @@ def _print_verified(o, args) -> int:
     """Print a constructed order and exit with the verifier's verdict on it."""
     passed = verify_linear_quotients(o).passed
     if args.json:
-        _emit(json.dumps({"order": [list(ms) for ms in o.multisets()]}, indent=2) + "\n", args.emit)
+        _emit(json.dumps({"order": o.multisets()}, indent=2) + "\n", args.emit)
     else:
         _emit(fixtures.format_order(o), args.emit)
     return VERDICT_EXIT["yes" if passed else "fail"]
@@ -173,7 +173,7 @@ def _not_found(record: dict, budget: int, g, q: int) -> str:
 
 def _cmd_powers(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.q, args.cap)
+    pg = power_generators(edge_ideal(g), args.q)
     out: dict = {"q": args.q, "count": pg.count}
     if args.list:
         names = g.vertex_names()
@@ -191,8 +191,7 @@ def _cmd_powers(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.q, args.cap)
-    o = fixtures.resolve_order(args.order, pg)
+    o = fixtures.resolve_order(args.order, g, args.q)
     t0 = time.perf_counter()
     report = verify_linear_quotients(o)
     out = {
@@ -206,7 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_find_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    record, o = harness.search_verdict(g, args.q, args.budget, args.cap)
+    record, o = harness.search_verdict(g, args.q, args.budget)
     if args.json:
         print(json.dumps(record, indent=2))
     elif o is not None:
@@ -218,9 +217,8 @@ def _cmd_find_order(args) -> int:
 
 def _cmd_efficient_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    pg = power_generators(edge_ideal(g), args.base_q, args.cap)
-    base = fixtures.resolve_order(args.base_order, pg)
-    return _print_verified(efficient_ordering(base, args.s, args.cap), args)
+    base = fixtures.resolve_order(args.base_order, g, args.base_q)
+    return _print_verified(efficient_ordering(base, args.s), args)
 
 
 def _cmd_admissible_order(args) -> int:
@@ -248,7 +246,7 @@ def _resolve_edge_order(g, token: str, o2) -> tuple[int, ...]:
 def _cmd_compatible_orders(args) -> int:
     g = fixtures.resolve_graph(args.graph)
     if args.i2_order == "auto":
-        record, o2 = harness.search_verdict(g, 2, args.budget, args.cap)
+        record, o2 = harness.search_verdict(g, 2, args.budget)
         if o2 is None:
             if args.json:
                 print(json.dumps(record, indent=2))
@@ -256,10 +254,9 @@ def _cmd_compatible_orders(args) -> int:
                 print(f"no square order: {_not_found(record, args.budget, g, 2)}", file=sys.stderr)
             return VERDICT_EXIT[record["verdict"]]
     else:
-        pg2 = power_generators(edge_ideal(g), 2, args.cap)
-        o2 = fixtures.resolve_order(args.i2_order, pg2)
+        o2 = fixtures.resolve_order(args.i2_order, g, 2)
     eo = _resolve_edge_order(g, args.edge_order, o2)
-    return _print_verified(compatible_orders(g, eo, o2, args.q, args.cap), args)
+    return _print_verified(compatible_orders(g, eo, o2, args.q), args)
 
 
 def _cmd_transport(args) -> int:
@@ -274,14 +271,13 @@ def _cmd_transport(args) -> int:
         return PASS
     if args.q is None:
         raise ValueError("--order needs --q")
-    pg = power_generators(edge_ideal(g), args.q, args.cap)
-    o = fixtures.resolve_order(args.order, pg)
+    o = fixtures.resolve_order(args.order, g, args.q)
     if not expand:
-        return _print_verified(duplication_order(o, x, args.cap), args)
+        return _print_verified(duplication_order(o, x), args)
     b_order = None
     if args.b_order:
         b_order = tuple(int(t) for t in args.b_order.replace(",", " ").split())
-    return _print_verified(expansion_order(o, x, b_order, args.cap), args)
+    return _print_verified(expansion_order(o, x, b_order), args)
 
 
 def _cmd_classify(args) -> int:
@@ -291,18 +287,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    records = harness.scan_small_graphs(args.n, args.q_max, args.budget, args.cap)
+    records = harness.scan_small_graphs(args.n, args.q_max, args.budget)
     print(json.dumps(records, indent=2))
     return PASS
 
 
 def _cmd_thm64(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    o2 = None
-    if args.i2_order:
-        pg2 = power_generators(edge_ideal(g), 2, args.cap)
-        o2 = fixtures.resolve_order(args.i2_order, pg2)
-    report = harness.check_theorem64_premises(g, args.budget, args.q_through, args.cap, o2)
+    o2 = fixtures.resolve_order(args.i2_order, g, 2) if args.i2_order else None
+    report = harness.check_theorem64_premises(g, args.budget, args.q_through, o2=o2)
     print(json.dumps(report, indent=2))
     # The tower stops at its first power that is not "yes".
     last = list(report["computed"].values())[-1]
@@ -310,7 +303,7 @@ def _cmd_thm64(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    reports, ok = harness.run_repro(args.names, args.budget, args.cap)
+    reports, ok = harness.run_repro(args.names, args.budget)
     if args.json:
         print(json.dumps(reports, indent=2))
     else:

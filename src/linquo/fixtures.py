@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .graphs import TWO_K2, Graph, expand_vertex, duplicate_vertex, parse_graph
 from .linquot import GeneratorOrdering, ordering_from_multisets
-from .power_ideals import PowerGenerators
+from .power_ideals import PowerGenerators, edge_ideal, power_generators
 
 # Pentagon on a, b, c, d, e with edges ab, bc, cd, de, ea.
 def c5() -> Graph:
@@ -182,8 +182,10 @@ def format_order(o: GeneratorOrdering) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_order(source: str, pg: PowerGenerators) -> GeneratorOrdering:
-    """Resolve a CLI order argument: ``builtin:<name>`` or an order file path."""
+def resolve_order(source: str, g: Graph, q: int) -> GeneratorOrdering:
+    """Resolve a CLI order argument on I(g)^q: ``builtin:<name>`` or an order
+    file path."""
+    pg = power_generators(edge_ideal(g), q)
     if source.startswith("builtin:"):
         return builtin_order(source[len("builtin:"):], pg)
     p = Path(source)

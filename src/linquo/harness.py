@@ -4,8 +4,9 @@ reproduction suite behind the ``repro`` subcommand.
 
 Every search verdict comes from ``search_verdict``: a "yes" carries an order
 re-verified before the record was written, a "no" an exhausted search or a
-checked restriction certificate, and an "unknown" the budget or cap that ran
-out.  Theorem-implied conclusions are reported apart from computed facts.
+checked restriction certificate, and an "unknown" the budget or the
+multiset cap (``power_ideals.CAP``) that ran out.  Theorem-implied
+conclusions are reported apart from computed facts.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .linquot import (
     verify_linear_quotients,
 )
 from .orderings import _compatible_lift, auto_edge_order, efficient_ordering
-from .power_ideals import CapExceeded, DEFAULT_CAP, edge_ideal, power_generators
+from .power_ideals import CapExceeded, edge_ideal, power_generators
 
 MAX_ENUM_N = 7  # n = 8: 1,044 classes x 128 neighbourhoods, each relabeled up to 8! ways
 
@@ -109,7 +110,7 @@ def classify_graph(g: Graph) -> dict:
 
 
 def search_verdict(
-    g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP
+    g: Graph, q: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[dict, GeneratorOrdering | None]:
     """The order search's verdict on I(G)^q, and the order when one was found.
 
@@ -121,13 +122,13 @@ def search_verdict(
     w, sub = find_induced(g, TWO_K2), None
     if w is not None:
         with suppress(CapExceeded):  # then so is I(G)^q, reported below
-            sub = power_generators(edge_ideal(induced_subgraph(g, w)), q, cap)
+            sub = power_generators(edge_ideal(induced_subgraph(g, w)), q)
     if sub is not None:
         res = find_lq_order(sub, budget)
         if res.status == "none":
             return {"verdict": "no", "by": "restriction", "W": list(w), "nodes": res.nodes}, None
     try:
-        pg = power_generators(edge_ideal(g), q, cap)
+        pg = power_generators(edge_ideal(g), q)
     except CapExceeded as e:
         return {"verdict": "unknown", "reason": str(e)}, None
     res = find_lq_order(pg, budget)
@@ -141,24 +142,19 @@ def search_verdict(
     record = {
         "verdict": "yes",
         "by": "search",
-        "order": [list(ms) for ms in res.ordering.multisets()],
+        "order": res.ordering.multisets(),
         "nodes": res.nodes,
         "backtracks": res.backtracks,
     }
     return record, res.ordering
 
 
-def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET, cap: int = DEFAULT_CAP) -> dict:
+def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     """The record of ``search_verdict``: the verdict on one power."""
-    return search_verdict(g, q, budget, cap)[0]
+    return search_verdict(g, q, budget)[0]
 
 
-def scan_small_graphs(
-    n: int,
-    q_max: int,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = DEFAULT_CAP,
-) -> list[dict]:
+def scan_small_graphs(n: int, q_max: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Classify and search one graph per isomorphism class on n vertices."""
     results = []
     for g in nonisomorphic_graphs(n):
@@ -170,7 +166,7 @@ def scan_small_graphs(
             "lq": {},
         }
         for q in range(1, q_max + 1):
-            record["lq"][q] = lq_verdict(g, q, budget, cap)
+            record["lq"][q] = lq_verdict(g, q, budget)
         results.append(record)
     return results
 
@@ -179,7 +175,6 @@ def check_theorem64_premises(
     g: Graph,
     budget: int = DEFAULT_BUDGET,
     q_through: int = 7,
-    cap: int = DEFAULT_CAP,
     o2: GeneratorOrdering | None = None,
 ) -> dict:
     """Verify the bounded tower of compatible orders up to q_through.
@@ -200,7 +195,7 @@ def check_theorem64_premises(
         raise ValueError(f"q_through must be at least 2, got {q_through}")
     report: dict = {"n": g.n, "edges": [list(e) for e in g.edges], "computed": {}}
     if o2 is None:
-        record, o2 = search_verdict(g, 2, budget, cap)
+        record, o2 = search_verdict(g, 2, budget)
         if o2 is None:
             report["computed"][2] = record
             if record["verdict"] == "no":
@@ -216,7 +211,7 @@ def check_theorem64_premises(
     holds = 2
     for q in range(3, q_through + 1):
         try:
-            o = _compatible_lift(g, eo, o2, q, cap) if q == 3 else efficient_ordering(o, q, cap)
+            o = _compatible_lift(g, eo, o2, q) if q == 3 else efficient_ordering(o, q)
         except (CapExceeded, OrderingPreconditionError) as e:
             report["computed"][q] = {"verdict": "unknown", "reason": str(e)}
             break
@@ -245,26 +240,26 @@ def check_theorem64_premises(
 # ---------------------------------------------------------------------------
 
 
-def repro_istanbul(check, budget: int, cap: int) -> None:
-    pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
+def repro_istanbul(check, budget: int) -> None:
+    pg = power_generators(edge_ideal(fixtures.c5()), 2)
     check("square has 15 generators", pg.count == 15, count=pg.count)
     for name in ("istanbul", "istanbul-alt"):
         o = fixtures.builtin_order(name, pg)
         check(f"{name} order verifies", verify_linear_quotients(o).passed)
 
 
-def repro_pentagon_powers(check, budget: int, cap: int) -> None:
-    pg = power_generators(edge_ideal(fixtures.c5()), 2, cap)
+def repro_pentagon_powers(check, budget: int) -> None:
+    pg = power_generators(edge_ideal(fixtures.c5()), 2)
     o = fixtures.builtin_order("istanbul", pg)
     for s in (3, 4, 5, 6):
-        o = efficient_ordering(o, s, cap)
+        o = efficient_ordering(o, s)
         want = comb(s + 4, 4)
         ok = verify_linear_quotients(o).passed and len(o) == want
         check(f"power {s}: {want} generators, order verifies", ok, count=len(o))
 
 
-def repro_fig2(check, budget: int, cap: int) -> None:
-    pg = power_generators(edge_ideal(fixtures.fig2()), 2, cap)
+def repro_fig2(check, budget: int) -> None:
+    pg = power_generators(edge_ideal(fixtures.fig2()), 2)
     check("square has 34 generators", pg.count == 34, count=pg.count)
     merged = {frozenset(f) for f in pg.factorizations if len(f) > 1}
     expected = {
@@ -276,12 +271,12 @@ def repro_fig2(check, budget: int, cap: int) -> None:
     check("square order verifies", verify_linear_quotients(o2).passed)
     o = o2
     for s in (3, 4):
-        o = efficient_ordering(o, s, cap)
+        o = efficient_ordering(o, s)
         check(f"power {s} order verifies", verify_linear_quotients(o).passed, count=len(o))
 
 
-def repro_fig4(check, budget: int, cap: int) -> None:
-    pg = power_generators(edge_ideal(fixtures.fig4()), 2, cap)
+def repro_fig4(check, budget: int) -> None:
+    pg = power_generators(edge_ideal(fixtures.fig4()), 2)
     check("square has 42 generators", pg.count == 42, count=pg.count)
     merged = {frozenset(f) for f in pg.factorizations if len(f) > 1}
     expected = {
@@ -292,23 +287,23 @@ def repro_fig4(check, budget: int, cap: int) -> None:
     check("exactly the three expected coincidences", merged == expected)
     o2 = fixtures.builtin_order("fig4", pg)
     check("square order verifies", verify_linear_quotients(o2).passed)
-    o3 = efficient_ordering(o2, 3, cap)
+    o3 = efficient_ordering(o2, 3)
     check("cube order verifies", verify_linear_quotients(o3).passed, count=len(o3))
 
 
-def repro_gamma7(check, budget: int, cap: int) -> None:
+def repro_gamma7(check, budget: int) -> None:
     g7 = fixtures.gamma7()
     check("gamma7 is CDCC", is_cdcc(g7))
     check("gamma7 matching number is 3", matching_number(g7) == 3)
-    pg4 = power_generators(edge_ideal(fixtures.fig4()), 2, cap)
+    pg4 = power_generators(edge_ideal(fixtures.fig4()), 2)
     o2 = fixtures.builtin_order("fig4", pg4)
-    o3 = efficient_ordering(o2, 3, cap)
+    o3 = efficient_ordering(o2, 3)
     # Duplicate z, then keep duplicating the freshest copy: 7, 8, 9 vertices.
     for q, base in ((2, o2), (3, o3)):
         o = base
         vertex = 5
         for step in range(3):
-            o = duplication_order(o, vertex, cap)
+            o = duplication_order(o, vertex)
             graph = o.base.ideal.graph
             check(
                 f"power {q}, {graph.n} vertices: duplicated order verifies and CDCC holds",
@@ -318,7 +313,7 @@ def repro_gamma7(check, budget: int, cap: int) -> None:
             vertex = graph.n - 1
 
 
-def repro_cdcc6(check, budget: int, cap: int) -> None:
+def repro_cdcc6(check, budget: int) -> None:
     examined = hits = 0
     for g in nonisomorphic_graphs(6):
         examined += 1
@@ -327,36 +322,36 @@ def repro_cdcc6(check, budget: int, cap: int) -> None:
     check(what, examined == 156 and hits == 0, graphs=examined, hits=hits)
 
 
-def repro_expansion(check, budget: int, cap: int) -> None:
+def repro_expansion(check, budget: int) -> None:
     p3 = Graph(3, [(0, 1), (1, 2)], labels=("a", "x", "b"))
     cases = [("path a-x-b at x", p3, 1, (1, 2)), ("fig2 at x", fixtures.fig2(), 4, (2,))]
     for label, g, x, ss in cases:
         for s in ss:
-            base = search_verdict(g, s, budget, cap)[1]
+            base = search_verdict(g, s, budget)[1]
             if not check(f"{label}, power {s}: base order found", base is not None):
                 continue
             b_orders = list(permutations(sorted(complement(g).adj[x])))
             ok = True
             for b in b_orders:
-                o = expansion_order(base, x, b, cap)
+                o = expansion_order(base, x, b)
                 ok = ok and verify_linear_quotients(o).passed
             what = f"{label}, power {s}: expansion order verifies for all {len(b_orders)} B-orders"
             check(what, ok)
-    pgc5 = power_generators(edge_ideal(fixtures.c5()), 2, cap)
+    pgc5 = power_generators(edge_ideal(fixtures.c5()), 2)
     ist = fixtures.builtin_order("istanbul", pgc5)
     try:
-        expansion_order(ist, 0, cap=cap)
+        expansion_order(ist, 0)
         rejected = False
     except NotGapfree:
         rejected = True
     check("expansion with a non-independent exterior is rejected", rejected)
 
 
-def repro_thm64_c5(check, budget: int, cap: int) -> None:
+def repro_thm64_c5(check, budget: int) -> None:
     g = fixtures.c5()
-    pg = power_generators(edge_ideal(g), 2, cap)
+    pg = power_generators(edge_ideal(g), 2)
     o2 = fixtures.builtin_order("istanbul", pg)
-    report = check_theorem64_premises(g, q_through=8, cap=cap, o2=o2)
+    report = check_theorem64_premises(g, q_through=8, o2=o2)
     computed = {str(k): v for k, v in report["computed"].items()}
     c8 = computed.pop("8", {})
     check("compatible orders verify for powers 3..7", report["holds_through"] >= 7, computed=computed)
@@ -380,9 +375,7 @@ REPRO_SUITE = {
 
 
 def run_repro(
-    names: list[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = DEFAULT_CAP,
+    names: list[str] | None = None, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[dict], bool]:
     """Run the named targets (all by default), one report per target.  An
     unknown name raises ValueError before any target runs.
@@ -404,7 +397,7 @@ def run_repro(
             return bool(ok)
 
         t0 = time.perf_counter()
-        REPRO_SUITE[name](check, budget, cap)
+        REPRO_SUITE[name](check, budget)
         reports.append(
             {
                 "name": name,

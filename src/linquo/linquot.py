@@ -38,7 +38,7 @@ import numpy as np
 
 from .graphs import complement, duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
-from .power_ideals import DEFAULT_CAP, EdgeIdeal, PowerGenerators, power_generators, row_keys
+from .power_ideals import EdgeIdeal, PowerGenerators, power_generators, row_keys
 
 # The node budget of ``find_lq_order`` when the caller names none.
 DEFAULT_BUDGET = 10**6
@@ -78,15 +78,13 @@ class GeneratorOrdering:
     def monomials(self) -> list[Monomial]:
         return [Monomial(row) for row in self.exps().tolist()]
 
-    def multisets(self) -> list[tuple[int, ...]]:
+    def multisets(self) -> list[list[int]]:
         """The least factorization of each generator, in order."""
-        return list(map(tuple, self.base.least[list(self.sequence)].tolist()))
+        return self.base.least[list(self.sequence)].tolist()
 
 
 def ordering_from_multisets(
-    pg: PowerGenerators,
-    multisets: Iterable[Sequence[int]],
-    provenance: str = "given",
+    pg: PowerGenerators, multisets: Iterable[Sequence[int]]
 ) -> GeneratorOrdering:
     """Resolve a sequence of edge multisets against the enumerated generators.
 
@@ -105,7 +103,7 @@ def ordering_from_multisets(
     seq = pg.locate(sum(pg.ideal.rows[ms[:, k]] for k in range(pg.q)))
     if sorted(seq) != list(range(pg.count)):
         raise ValueError("multisets do not enumerate each generator exactly once")
-    return GeneratorOrdering(pg, tuple(seq), provenance)
+    return GeneratorOrdering(pg, tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -353,9 +351,7 @@ def _duplicated_rows(o: GeneratorOrdering, x: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def duplication_order(
-    o: GeneratorOrdering, x: int, cap: int = DEFAULT_CAP
-) -> GeneratorOrdering:
+def duplication_order(o: GeneratorOrdering, x: int) -> GeneratorOrdering:
     """Extend a verified order on I(G)^s to one on I(G^x)^s: the rows of
     ``_duplicated_rows``.  The power of the duplicated ideal is recomputed
     from the duplicated graph, never transformed syntactically.
@@ -365,7 +361,7 @@ def duplication_order(
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     _require_verified(o, "duplication_order")
-    pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q, cap)
+    pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q)
     seq = tuple(pg_x.locate(_duplicated_rows(o, x)))
     if sorted(seq) != list(range(pg_x.count)):
         raise AssertionError("duplication order lost or duplicated a generator")
@@ -373,10 +369,7 @@ def duplication_order(
 
 
 def expansion_order(
-    o: GeneratorOrdering,
-    x: int,
-    b_order: Sequence[int] | None = None,
-    cap: int = DEFAULT_CAP,
+    o: GeneratorOrdering, x: int, b_order: Sequence[int] | None = None
 ) -> GeneratorOrdering:
     """Extend a verified order on I(G)^s to one on I(G^[x])^s.
 
@@ -402,7 +395,7 @@ def expansion_order(
     if sorted(b_order) != list(B):
         raise ValueError(f"b_order must be a permutation of B = {B}")
     _require_verified(o, "expansion_order")
-    pg_exp = power_generators(EdgeIdeal(gexp), pg.q, cap)
+    pg_exp = power_generators(EdgeIdeal(gexp), pg.q)
     xy, y = len(gexp.edges) - 1, g.n  # xy is the last edge of the expansion
     mu = [min(f.count(xy) for f in facs) for facs in pg_exp.factorizations]
     seq = pg_exp.locate(_duplicated_rows(o, x))

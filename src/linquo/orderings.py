@@ -26,20 +26,16 @@ import numpy as np
 
 from .graphs import Graph
 from .linquot import GeneratorOrdering, OrderingPreconditionError, _require_verified
-from .power_ideals import DEFAULT_CAP, _check_cap, power_generators, row_keys
+from .power_ideals import _check_cap, power_generators, row_keys
 
 
 def _lift(
-    o: GeneratorOrdering,
-    edges: Sequence[int],
-    target_q: int,
-    provenance: str,
-    cap: int,
+    o: GeneratorOrdering, edges: Sequence[int], target_q: int, provenance: str
 ) -> GeneratorOrdering:
     """Multiply the order ``o`` up to the power ``target_q`` along the edge
     indices ``edges``."""
     ideal = o.base.ideal
-    _check_cap(ideal.nedges, target_q, cap)
+    _check_cap(ideal.nedges, target_q)
     rows = o.exps()
     for _ in range(o.base.q, target_q):
         # One edge block at a time keeps the transient keys to one block.
@@ -47,7 +43,7 @@ def _lift(
         for e in ideal.rows[list(edges)]:
             keys.update(dict.fromkeys(row_keys(rows + e)))
         rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
-    pg = power_generators(ideal, target_q, cap)
+    pg = power_generators(ideal, target_q)
     seq = tuple(pg.locate(rows))
     if sorted(seq) != list(range(pg.count)):
         raise AssertionError(f"{provenance} order lost or duplicated a generator")
@@ -64,9 +60,7 @@ def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:
     return tuple(sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[j]]))
 
 
-def efficient_ordering(
-    o: GeneratorOrdering, target_s: int, cap: int = DEFAULT_CAP
-) -> GeneratorOrdering:
+def efficient_ordering(o: GeneratorOrdering, target_s: int) -> GeneratorOrdering:
     """Recursive pure-power construction from a base order of I^q up to I^s.
 
     The edge sequence is read off the appearance order of the pure powers in
@@ -77,7 +71,7 @@ def efficient_ordering(
         raise ValueError(f"target power {target_s} below base power {pg.q}")
     if target_s == pg.q:
         return o
-    return _lift(o, pure_power_edge_sequence(o), target_s, "efficient", cap)
+    return _lift(o, pure_power_edge_sequence(o), target_s, "efficient")
 
 
 def admissible_order(g: Graph) -> tuple[int, ...]:
@@ -140,11 +134,7 @@ def auto_edge_order(g: Graph, o2: GeneratorOrdering) -> tuple[tuple[int, ...], s
 
 
 def compatible_orders(
-    g: Graph,
-    eo: Sequence[int],
-    o2: GeneratorOrdering,
-    target_q: int,
-    cap: int = DEFAULT_CAP,
+    g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int
 ) -> GeneratorOrdering:
     """Build the compatible order for I^target_q from (edge order, square order).
 
@@ -153,11 +143,11 @@ def compatible_orders(
     first-appearance dedup.  target_q == 2 returns the square order itself.
     """
     _require_verified(o2, "compatible_orders")
-    return _compatible_lift(g, eo, o2, target_q, cap)
+    return _compatible_lift(g, eo, o2, target_q)
 
 
 def _compatible_lift(
-    g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int, cap: int
+    g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int
 ) -> GeneratorOrdering:
     """``compatible_orders`` for a square order its caller has verified."""
     pg2 = o2.base
@@ -173,4 +163,4 @@ def _compatible_lift(
         )
     if target_q == 2:
         return o2
-    return _lift(o2, eo, target_q, "compatible", cap)
+    return _lift(o2, eo, target_q, "compatible")

@@ -9,6 +9,10 @@ the i-th distinct product in ``combinations_with_replacement`` order, and
 factorization.  ``locate`` maps rows back to indices through one dict keyed
 by the bytes of each int64 row, exact for any vertex count.  The full
 ``factorizations`` and ``multiset_index`` are built on first use.
+
+A power whose edge multisets hold more than ``CAP`` entries, q per multiset,
+is refused before any work: the checker is desk-scale.  ``CAP`` is read at
+each call, so a test may lower it.
 """
 
 from __future__ import annotations
@@ -21,21 +25,21 @@ import numpy as np
 
 from .graphs import Graph
 
-DEFAULT_CAP = 10**7
+CAP = 10**7
 
 
 class CapExceeded(RuntimeError):
-    """Raised when an enumeration would exceed the configured cap."""
+    """Raised when an enumeration would exceed ``CAP``."""
 
 
-def _check_cap(s: int, q: int, cap: int) -> None:
+def _check_cap(s: int, q: int) -> None:
     """Refuse, before any work, the power q of an ideal with s edges when its
-    C(s+q-1, q) edge multisets, q entries each, hold more than cap entries."""
+    C(s+q-1, q) edge multisets, q entries each, hold more than ``CAP`` entries."""
     multisets = comb(s + q - 1, q)
-    if q * multisets > cap:
+    if q * multisets > CAP:
         raise CapExceeded(
             f"{multisets} edge multisets for q={q} over {s} edges "
-            f"({q * multisets} entries) exceed cap {cap}"
+            f"({q * multisets} entries) exceed cap {CAP}"
         )
 
 
@@ -114,10 +118,10 @@ class PowerGenerators:
     ``least[i]`` its least factorization, and ``locate`` maps exponent rows
     to generator indices."""
 
-    def __init__(self, ideal: EdgeIdeal, q: int, cap: int = DEFAULT_CAP):
+    def __init__(self, ideal: EdgeIdeal, q: int):
         if q < 1:
             raise ValueError("power must be >= 1")
-        _check_cap(ideal.nedges, q, cap)
+        _check_cap(ideal.nedges, q)
         steps, keys = _products(ideal, q)
         # key -> position of its first appearance; sorted, the positions are
         # the generators in index order.
@@ -158,5 +162,5 @@ class PowerGenerators:
         return f"PowerGenerators(q={self.q}, count={self.count})"
 
 
-def power_generators(ideal: EdgeIdeal, q: int, cap: int = DEFAULT_CAP) -> PowerGenerators:
-    return PowerGenerators(ideal, q, cap)
+def power_generators(ideal: EdgeIdeal, q: int) -> PowerGenerators:
+    return PowerGenerators(ideal, q)

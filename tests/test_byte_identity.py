@@ -1,9 +1,9 @@
 """The deterministic constructions emit byte-identical order files.
 
-Each digest is the sha256 of an order file (``fixtures.format_order``) or of
-a scan's JSON.  A refactor of the generator representation or of the order
-constructions must leave every digest unchanged; a deliberate change of an
-order is a change of these pins.
+Each digest is the sha256 of an order file (``fixtures.format_order``), of
+a scan's JSON or of a command's standard output.  A refactor of the generator
+representation or of the order constructions must leave every digest
+unchanged; a deliberate change of an order is a change of these pins.
 """
 
 import hashlib
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from linquo import fixtures
+from linquo import cli, fixtures
 from linquo.harness import scan_small_graphs
 from linquo.linquot import duplication_order, expansion_order
 from linquo.orderings import (
@@ -38,6 +38,17 @@ PINS = {
     "expansion fig2 at x, B=(2, 3)": "bc404a87038bd02dd95c0b3e44a6f1fd0238d1ed06fe86689d60593645b9bfbe",
     "expansion fig2 at x, B=(3, 2)": "b7c50bcd4a50b8343ea30e28e25e16e8d7e5d66b9fb0ff6d2affa2fec192405f",
     "scan n=4 q<=2": "01a4fa7c6238160dbbc38106c172d3fb41460085cde1850887247218c4912a88",
+}
+
+# The standard output of each command line.
+CLI_PINS = {
+    "thm64 --graph fig4": "29fae0e3e853345fca89f6744ec33a3f45330585b09399b38beef94131dee162",
+    "thm64 --graph gamma7": "07db5965956e663524a9f3b8cedfcb45c0b8561041edade20429c1158c2c124e",
+    "thm64 --graph c5": "326202ddad65607a2cdfa231513542e6158b18c8bd86c6408999495d24606054",
+    "thm64 --graph c5k3": "834be3d0211d5f01e3cec3c2298f23d087fb49264b09716ba2c4fd0bf54a0268",
+    "--json find-order --graph c5 --q 2": "808bc04ba2b25b5d1faa6d1bf4b1cedbbf2004d11f6b1e65122feeffedd19736",
+    "--json compatible-orders --graph fig2 --i2-order builtin:fig2 --q 3":
+        "39ef17d7a0a9a383b6df5b03d7456d2d48cf0810398d3831d06b6522fe703483",
 }
 
 
@@ -78,3 +89,9 @@ def digests():
 
 def test_construction_outputs_are_byte_identical(digests):
     assert digests == PINS
+
+
+@pytest.mark.parametrize("argv", CLI_PINS)
+def test_command_outputs_are_byte_identical(argv, capsys):
+    cli.main(argv.split())
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_PINS[argv]

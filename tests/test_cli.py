@@ -33,8 +33,11 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
         (["repro", "istanbul"], PASS),
         (["classify", "--graph", "no-such-fixture"], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
-        (["--cap", "3", "powers", "--graph", "c5", "--q", "2"], BUDGET),
         (["powers", "--graph", "2k2", "--q", "1000000"], BUDGET),
+        (["verify", "--graph", "c5", "--q", "1000000", "--order", "builtin:istanbul"], BUDGET),
+        (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "1000000"], BUDGET),
+        (["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "1000000", "--order", "builtin:fig4"], BUDGET),
+        (["expand", "--graph", "fig2", "--vertex", "x", "--q", "1000000", "--order", "builtin:fig2"], BUDGET),
         (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "200"], BUDGET),
         (["find-order", "--graph", "2k2", "--q", "1000000"], BUDGET),
         (["scan", "--n", "8"], USAGE),
@@ -84,6 +87,7 @@ def test_seed_flag_is_gone(capsys):
     [
         ["powers", "--graph", "c5", "--q", "2", "--count-only"],
         ["scan", "--n", "3", "--q-max", "1", "--no-dedup"],
+        ["--cap", "3", "powers", "--graph", "c5", "--q", "2"],
     ],
     ids=lambda v: " ".join(v),
 )

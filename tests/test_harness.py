@@ -5,7 +5,7 @@ from itertools import combinations, islice, permutations
 
 import pytest
 
-from linquo import fixtures, harness, linquot
+from linquo import fixtures, harness, linquot, power_ideals
 from linquo.fixtures import c5, fig4, gamma7, two_k2
 from linquo.graphs import Graph, induced_subgraph, is_cdcc, is_gapfree
 from linquo.harness import (
@@ -113,12 +113,13 @@ def test_canonical_form_is_relabeling_invariant():
     )
 
 
-def test_lq_verdict_recorded_orders_verify():
+def test_lq_verdict_recorded_orders_verify(monkeypatch):
     rec = lq_verdict(c5(), 2)
     assert rec["verdict"] == "yes"
     assert len(rec["order"]) == 15
     assert lq_verdict(two_k2(), 1)["verdict"] == "no"
-    assert lq_verdict(c5(), 2, cap=3)["verdict"] == "unknown"
+    monkeypatch.setattr(power_ideals, "CAP", 3)
+    assert lq_verdict(c5(), 2)["verdict"] == "unknown"
 
 
 def test_restriction_agrees_with_the_plain_search(classes):
@@ -153,7 +154,7 @@ def test_restriction_sub_search_takes_q_plus_one_nodes():
         assert lq_verdict(g, q) == {**want, "W": [1, 2, 3, 4]}
 
 
-def test_restriction_needs_an_exhausted_sub_search():
+def test_restriction_needs_an_exhausted_sub_search(monkeypatch):
     # The sub-search on I(2K2)^2 takes 3 nodes: a budget of 3 certifies, a
     # budget of 1 leaves it unfinished and the full search reports the budget.
     assert lq_verdict(two_k2(), 2, budget=3)["by"] == "restriction"
@@ -162,7 +163,8 @@ def test_restriction_needs_an_exhausted_sub_search():
     # A cap below the sub-power's 3 multisets of 2 entries: the cap is
     # reported for I(G)^2.
     p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    rec = lq_verdict(p5, 2, cap=2)
+    monkeypatch.setattr(power_ideals, "CAP", 2)
+    rec = lq_verdict(p5, 2)
     reason = "10 edge multisets for q=2 over 4 edges (20 entries) exceed cap 2"
     assert rec == {"verdict": "unknown", "reason": reason}
 
@@ -279,8 +281,9 @@ def test_budget_exhaustion_names_the_budget():
     assert "first_failure_q" not in report  # nothing failed; the search stopped
 
 
-def test_theorem64_cap_hit_reports_no_failure():
-    report = check_theorem64_premises(c5(), cap=3)
+def test_theorem64_cap_hit_reports_no_failure(monkeypatch):
+    monkeypatch.setattr(power_ideals, "CAP", 3)
+    report = check_theorem64_premises(c5())
     assert report["computed"][2]["verdict"] == "unknown"
     assert report["holds_through"] is None and report["implied"] is None
     assert "first_failure_q" not in report

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from linquo import power_ideals
 from linquo.fixtures import FIG4_SQUARE, ISTANBUL, c5, fig2, fig4, named_graph
 from linquo.graphs import Graph
 from linquo.harness import nonisomorphic_graphs
@@ -130,12 +131,13 @@ def test_expansion_new_generators():
     assert rows(Graph(3, [(0, 1)]), 1, [(0,)], 2) == [(1, 1, 0, 0)]
 
 
-def test_cap_aborts_cleanly():
+def test_cap_aborts_cleanly(monkeypatch):
+    monkeypatch.setattr(power_ideals, "CAP", 100)
     with pytest.raises(CapExceeded):
-        power_generators(edge_ideal(fig2()), 5, cap=100)
+        power_generators(edge_ideal(fig2()), 5)
 
 
-def test_cap_bounds_entries_not_just_multisets():
+def test_cap_bounds_entries_not_just_multisets(monkeypatch):
     # One or two edges have q + 1 or fewer multisets at any q, but each holds
     # q entries: 2K2 at q = 10^6 and K2 at q = 10^8 are refused at once.
     two_k2 = edge_ideal(Graph(4, [(0, 1), (2, 3)]))
@@ -144,18 +146,21 @@ def test_cap_bounds_entries_not_just_multisets():
     with pytest.raises(CapExceeded):
         power_generators(edge_ideal(Graph(2, [(0, 1)])), 10**8)
     # the limit itself: q * C(s + q - 1, q) entries may equal the cap
-    assert power_generators(two_k2, 3, cap=12).count == 4
+    monkeypatch.setattr(power_ideals, "CAP", 12)
+    assert power_generators(two_k2, 3).count == 4
+    monkeypatch.setattr(power_ideals, "CAP", 11)
     with pytest.raises(CapExceeded):
-        power_generators(two_k2, 3, cap=11)
+        power_generators(two_k2, 3)
 
 
-def test_cap_is_checked_before_the_lift():
+def test_cap_is_checked_before_the_lift(monkeypatch):
     # I(C5)^30 has 46,376 multisets: the lift is refused before any row of it.
     ist = ordering_from_multisets(power_generators(edge_ideal(c5()), 2), ISTANBUL)
+    monkeypatch.setattr(power_ideals, "CAP", 1000)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
-            efficient_ordering(ist, 30, cap=1000)
+            efficient_ordering(ist, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
