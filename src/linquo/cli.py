@@ -4,6 +4,10 @@ Exit codes: 0 success or verified pass; 1 verified failure or rejection;
 2 usage error or malformed input; 3 the node budget ran out or the power is
 over the fixed multiset cap (``power_ideals.CAP``).
 
+An order (``--order``, ``--base-order``, ``--i2-order``) states its power q,
+the size of its edge multisets (every ``builtin:<name>`` order is a square),
+and indexes the graph's edge sequence, which must be the one it was written for.
+
 A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
 ``find-order``, ``verify``, the order constructions, ``compatible-orders``
 with a searched square and ``thm64`` (the verdict of the last power it
@@ -65,7 +69,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify a generator order")
     graph_arg(sp)
-    sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--order", required=True, help="order file or builtin:<name>")
 
     sp = sub.add_parser("find-order", help="search for a linear-quotients order")
@@ -76,7 +79,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("efficient-order", help="recursive pure-power order from a base order")
     graph_arg(sp)
     sp.add_argument("--base-order", required=True)
-    sp.add_argument("--base-q", type=int, default=2)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--emit")
 
@@ -93,14 +95,12 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("duplicate", help="duplicate a vertex; optionally transport an order")
     graph_arg(sp)
     sp.add_argument("--vertex", required=True)
-    sp.add_argument("--q", type=int)
     sp.add_argument("--order")
     sp.add_argument("--emit")
 
     sp = sub.add_parser("expand", help="expand a vertex; optionally transport an order")
     graph_arg(sp)
     sp.add_argument("--vertex", required=True)
-    sp.add_argument("--q", type=int)
     sp.add_argument("--order")
     sp.add_argument("--b-order", help="comma-separated vertex indices ordering B")
     sp.add_argument("--emit")
@@ -191,7 +191,7 @@ def _cmd_powers(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    o = fixtures.resolve_order(args.order, g, args.q)
+    o = fixtures.resolve_order(args.order, g)
     t0 = time.perf_counter()
     report = verify_linear_quotients(o)
     out = {
@@ -217,7 +217,7 @@ def _cmd_find_order(args) -> int:
 
 def _cmd_efficient_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    base = fixtures.resolve_order(args.base_order, g, args.base_q)
+    base = fixtures.resolve_order(args.base_order, g)
     return _print_verified(efficient_ordering(base, args.s), args)
 
 
@@ -254,7 +254,7 @@ def _cmd_compatible_orders(args) -> int:
                 print(f"no square order: {_not_found(record, args.budget, g, 2)}", file=sys.stderr)
             return VERDICT_EXIT[record["verdict"]]
     else:
-        o2 = fixtures.resolve_order(args.i2_order, g, 2)
+        o2 = fixtures.resolve_order(args.i2_order, g)
     eo = _resolve_edge_order(g, args.edge_order, o2)
     return _print_verified(compatible_orders(g, eo, o2, args.q), args)
 
@@ -269,9 +269,7 @@ def _cmd_transport(args) -> int:
         new_graph = expand_vertex if expand else duplicate_vertex
         _emit(format_graph(new_graph(g, x)), args.emit)
         return PASS
-    if args.q is None:
-        raise ValueError("--order needs --q")
-    o = fixtures.resolve_order(args.order, g, args.q)
+    o = fixtures.resolve_order(args.order, g)
     if not expand:
         return _print_verified(duplication_order(o, x), args)
     b_order = None
@@ -294,7 +292,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_thm64(args) -> int:
     g = fixtures.resolve_graph(args.graph)
-    o2 = fixtures.resolve_order(args.i2_order, g, 2) if args.i2_order else None
+    o2 = fixtures.resolve_order(args.i2_order, g) if args.i2_order else None
     report = harness.check_theorem64_premises(g, args.budget, args.q_through, o2=o2)
     print(json.dumps(report, indent=2))
     # The tower stops at its first power that is not "yes".

@@ -149,16 +149,19 @@ _BUILTIN_ORDERS: dict[str, tuple[str, int, list[tuple[int, int]]]] = {
 }
 
 
+def _builtin(name: str) -> tuple[str, int, list[tuple[int, int]]]:
+    if name.lower() not in _BUILTIN_ORDERS:
+        raise ValueError(f"unknown built-in order {name!r}")
+    return _BUILTIN_ORDERS[name.lower()]
+
+
 def builtin_order(name: str, pg: PowerGenerators) -> GeneratorOrdering:
     """Resolve a built-in order name against enumerated power generators."""
-    key = name.lower()
-    if key not in _BUILTIN_ORDERS:
-        raise ValueError(f"unknown built-in order {name!r}")
-    fixture, q, multisets = _BUILTIN_ORDERS[key]
+    fixture, q, multisets = _builtin(name)
     if pg.q != q:
         raise ValueError(f"built-in order {name!r} is for q={q}, got q={pg.q}")
     if pg.ideal.graph != named_graph(fixture):
-        raise ValueError(f"built-in order {name!r} is for the {fixture} fixture")
+        raise ValueError(f"built-in order {name!r} indexes the edge sequence of the {fixture} fixture")
     return ordering_from_multisets(pg, multisets)
 
 
@@ -182,13 +185,16 @@ def format_order(o: GeneratorOrdering) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_order(source: str, g: Graph, q: int) -> GeneratorOrdering:
-    """Resolve a CLI order argument on I(g)^q: ``builtin:<name>`` or an order
-    file path."""
-    pg = power_generators(edge_ideal(g), q)
+def resolve_order(source: str, g: Graph) -> GeneratorOrdering:
+    """Resolve a CLI order argument on I(g)^q: ``builtin:<name>`` (each a square)
+    or an order file path, whose q is the size of its first multiset (1 for an
+    empty file)."""
     if source.startswith("builtin:"):
-        return builtin_order(source[len("builtin:"):], pg)
+        name = source[len("builtin:"):]
+        return builtin_order(name, power_generators(edge_ideal(g), _builtin(name)[1]))
     p = Path(source)
     if not p.is_file():
         raise ValueError(f"order file {source!r} not found")
-    return ordering_from_multisets(pg, parse_order_file(p.read_text()))
+    multisets = parse_order_file(p.read_text())
+    q = len(multisets[0]) if multisets else 1
+    return ordering_from_multisets(power_generators(edge_ideal(g), q), multisets)

@@ -76,15 +76,11 @@ class Graph:
         return Graph(self.n, self.edges, labels)
 
     def __eq__(self, other) -> bool:
-        # Set semantics on edges: the stored sequence is presentation only.
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_set == other.edge_set
-        )
+        # Orders index the edge sequence, so the same edges in another sequence make another graph.
+        return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_set))
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"

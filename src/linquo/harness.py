@@ -185,10 +185,10 @@ def check_theorem64_premises(
     verifies the compatible order of every power up to q_through.  The cube
     lifts the square along the edge order; each later power is the pure-power
     lift of the one below, which is its compatible order (see ``orderings``).
-    A supplied square that fails verification raises
-    OrderingPreconditionError.  When the tower holds through 7, all later
-    powers inherit linear quotients; that conclusion is reported under
-    ``implied``, separate from what was computed.  ``q_through`` below 2
+    A supplied non-square raises ValueError, a supplied square that fails
+    verification OrderingPreconditionError.  When the tower holds through 7,
+    all later powers inherit linear quotients; that conclusion is reported
+    under ``implied``, separate from what was computed.  ``q_through`` below 2
     raises ValueError: the tower starts at the square.
     """
     if q_through < 2:
@@ -203,6 +203,8 @@ def check_theorem64_premises(
             report["holds_through"] = None
             report["implied"] = None
             return report
+    elif o2.base.q != 2:
+        raise ValueError("the base order must order the generators of the square")
     else:
         _require_verified(o2, "check_theorem64_premises")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}

@@ -152,7 +152,7 @@ def _compatible_lift(
     """``compatible_orders`` for a square order its caller has verified."""
     pg2 = o2.base
     if pg2.ideal.graph != g:
-        raise ValueError("square order belongs to a different graph")
+        raise ValueError("square order belongs to another graph or edge sequence")
     if pg2.q != 2:
         raise ValueError("the base order must order the generators of the square")
     if target_q < 2:

@@ -95,3 +95,20 @@ def test_construction_outputs_are_byte_identical(digests):
 def test_command_outputs_are_byte_identical(argv, capsys):
     cli.main(argv.split())
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_PINS[argv]
+
+
+def test_orders_from_files_and_builtins_keep_their_pins(tmp_path, capsys):
+    """What ``--base-q`` and the transports' ``--q`` did is done from the
+    order alone: the power is read from its multisets."""
+    cube = tmp_path / "fig4-cube.order"
+    cube.write_text(fixtures.format_order(efficient_ordering(_square("fig4"), 3)))
+    transport = ["--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"]
+    runs = {
+        "compatible fig4 q=4": ["efficient-order", "--graph", "fig4", "--base-order", str(cube), "--s", "4"],
+        "duplication fig2 at x": ["duplicate", *transport],
+        "expansion fig2 at x, B=(2, 3)": ["expand", *transport, "--b-order", "2,3"],
+        "expansion fig2 at x, B=(3, 2)": ["expand", *transport, "--b-order", "3,2"],
+    }
+    for label, argv in runs.items():
+        assert cli.main(argv) == cli.PASS
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[label]

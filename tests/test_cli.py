@@ -3,26 +3,29 @@ import json
 import pytest
 
 from linquo import cli, fixtures, harness
+from linquo.graphs import format_graph
 from linquo.linquot import GeneratorOrdering, SearchResult
+from linquo.orderings import efficient_ordering
 from linquo.power_ideals import edge_ideal, power_generators
 
 PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
+Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the test
 
 
 @pytest.mark.parametrize(
     "argv, code",
     [
         (["powers", "--graph", "c5", "--q", "2"], PASS),
-        (["verify", "--graph", "c5", "--q", "2", "--order", "builtin:istanbul"], PASS),
+        (["verify", "--graph", "c5", "--order", "builtin:istanbul"], PASS),
         (["find-order", "--graph", "c5", "--q", "2"], PASS),
         (["find-order", "--graph", "2k2", "--q", "1"], FAIL),
         (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "3"], PASS),
         (["admissible-order", "--graph", "c5"], PASS),
         (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "3"], PASS),
         (["duplicate", "--graph", "fig2", "--vertex", "x"], PASS),
-        (["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "2", "--order", "builtin:fig4"], PASS),
-        (["expand", "--graph", "fig2", "--vertex", "x", "--q", "2", "--order", "builtin:fig2"], PASS),
-        (["expand", "--graph", "c5", "--vertex", "a", "--q", "2", "--order", "builtin:istanbul"], FAIL),
+        (["duplicate", "--graph", "fig4", "--vertex", "z", "--order", "builtin:fig4"], PASS),
+        (["expand", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"], PASS),
+        (["expand", "--graph", "c5", "--vertex", "a", "--order", "builtin:istanbul"], FAIL),
         (["classify", "--graph", "gamma7"], PASS),
         (["scan", "--n", "3", "--q-max", "1"], PASS),
         (["thm64", "--graph", "c5", "--q-through", "3", "--i2-order", "builtin:istanbul"], PASS),
@@ -34,18 +37,20 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
         (["classify", "--graph", "no-such-fixture"], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
         (["powers", "--graph", "2k2", "--q", "1000000"], BUDGET),
-        (["verify", "--graph", "c5", "--q", "1000000", "--order", "builtin:istanbul"], BUDGET),
+        (["verify", "--graph", "c5", "--order", Q2000], BUDGET),
         (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "1000000"], BUDGET),
-        (["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "1000000", "--order", "builtin:fig4"], BUDGET),
-        (["expand", "--graph", "fig2", "--vertex", "x", "--q", "1000000", "--order", "builtin:fig2"], BUDGET),
+        (["duplicate", "--graph", "fig4", "--vertex", "z", "--order", Q2000], BUDGET),
+        (["expand", "--graph", "fig2", "--vertex", "x", "--order", Q2000], BUDGET),
         (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "200"], BUDGET),
         (["find-order", "--graph", "2k2", "--q", "1000000"], BUDGET),
         (["scan", "--n", "8"], USAGE),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )
-def test_exit_codes(argv, code, capsys):
-    assert cli.main(argv) == code
+def test_exit_codes(argv, code, tmp_path, capsys):
+    # One multiset of 2,000 edges: the order is of I^2000, over the cap.
+    (tmp_path / "q2000.order").write_text(" ".join(["0"] * 2000) + "\n")
+    assert cli.main([str(tmp_path / "q2000.order") if a == Q2000 else a for a in argv]) == code
 
 
 def test_verify_fails_a_reversed_order_file(tmp_path, capsys):
@@ -53,10 +58,49 @@ def test_verify_fails_a_reversed_order_file(tmp_path, capsys):
     lines = fixtures.format_order(fixtures.builtin_order("istanbul", pg)).splitlines()
     path = tmp_path / "reversed.order"
     path.write_text("\n".join(reversed(lines)) + "\n")
-    argv = ["verify", "--graph", "c5", "--q", "2", "--order", str(path)]
+    argv = ["verify", "--graph", "c5", "--order", str(path)]
     assert cli.main(argv) == FAIL
     out = json.loads(capsys.readouterr().out)
     assert not out["pass"] and out["witness"] is not None
+
+
+C5_SWAPPED = "5\n1 2\n0 1\n2 3\n3 4\n0 4\n"  # c5's edges with the first two swapped
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--graph", "G", "--order", "builtin:istanbul"],
+        ["thm64", "--graph", "G", "--i2-order", "builtin:istanbul"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_a_published_order_is_refused_on_another_edge_sequence(argv, tmp_path, capsys):
+    swapped, own = tmp_path / "c5swap.graph", tmp_path / "c5.graph"
+    swapped.write_text(C5_SWAPPED)
+    own.write_text(format_graph(fixtures.c5()))
+    assert cli.main([str(swapped) if a == "G" else a for a in argv]) == USAGE
+    assert "edge sequence of the c5 fixture" in capsys.readouterr().err
+    assert cli.main([str(own) if a == "G" else a for a in argv]) == PASS
+
+
+def test_an_order_file_states_its_power(tmp_path, capsys):
+    pg = power_generators(edge_ideal(fixtures.fig4()), 2)
+    cube = efficient_ordering(fixtures.builtin_order("fig4", pg), 3)
+    path = tmp_path / "cube.order"
+    path.write_text(fixtures.format_order(cube))
+    assert cli.main(["verify", "--graph", "fig4", "--order", str(path)]) == PASS
+    assert json.loads(capsys.readouterr().out)["pass"]
+    # A cube is not a square: the tower refuses it even when it stops at the square.
+    for q_through in ("2", "7"):
+        argv = ["thm64", "--graph", "fig4", "--q-through", q_through, "--i2-order", str(path)]
+        assert cli.main(argv) == USAGE
+        assert capsys.readouterr().err == "error: the base order must order the generators of the square\n"
+    # An empty order file is read at q = 1, which orders the empty power of an edgeless graph.
+    edgeless, empty = tmp_path / "edgeless.graph", tmp_path / "empty.order"
+    edgeless.write_text("3\n")
+    empty.write_text("")
+    assert cli.main(["verify", "--graph", str(edgeless), "--order", str(empty)]) == PASS
 
 
 def test_powers_list(capsys):
@@ -88,6 +132,10 @@ def test_seed_flag_is_gone(capsys):
         ["powers", "--graph", "c5", "--q", "2", "--count-only"],
         ["scan", "--n", "3", "--q-max", "1", "--no-dedup"],
         ["--cap", "3", "powers", "--graph", "c5", "--q", "2"],
+        ["verify", "--graph", "c5", "--q", "2", "--order", "builtin:istanbul"],
+        ["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--base-q", "2", "--s", "3"],
+        ["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "2", "--order", "builtin:fig4"],
+        ["expand", "--graph", "fig2", "--vertex", "x", "--q", "2", "--order", "builtin:fig2"],
     ],
     ids=lambda v: " ".join(v),
 )
@@ -161,7 +209,7 @@ def test_repro_checks_every_name_before_running_any(monkeypatch, capsys):
     "argv, err",
     [
         (
-            ["verify", "--graph", "c5", "--q", "2", "--order", "builtin:nosuch"],
+            ["verify", "--graph", "c5", "--order", "builtin:nosuch"],
             "error: unknown built-in order 'nosuch'\n",
         ),
         (["classify", "--graph", "c5k0"], "error: clique size must be >= 1\n"),

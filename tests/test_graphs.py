@@ -47,8 +47,13 @@ def test_graph_validation():
     assert g.edges == ((0, 1),)
 
 
-def test_graph_equality_is_edge_set_based():
-    assert Graph(3, [(0, 1), (1, 2)]) == Graph(3, [(1, 2), (0, 1)])
+def test_graph_equality_is_edge_sequence_based():
+    # Orders index the edge sequence, so reordering the edges makes another graph.
+    g, h = Graph(3, [(0, 1), (1, 2)]), Graph(3, [(1, 2), (0, 1)])
+    assert g.edge_set == h.edge_set
+    assert g != h
+    assert g == Graph(3, [(1, 0), (2, 1)], labels=("a", "b", "c"))
+    assert hash(g) == hash(Graph(3, [(1, 0), (2, 1)]))
     assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
 
 

@@ -147,6 +147,9 @@ def test_compatible_orders_base_case_and_validation():
         compatible_orders(g, eo, ist, 1)
     with pytest.raises(ValueError):
         compatible_orders(fig2(), eo, ist, 3)  # wrong graph
+    swapped = Graph(5, [(1, 2), (0, 1), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(ValueError, match="edge sequence"):
+        compatible_orders(swapped, eo, ist, 3)  # the same edges in another sequence
     o3 = efficient_ordering(ist, 3)
     with pytest.raises(ValueError):
         compatible_orders(g, eo, o3, 4)  # base must order the square
