@@ -1,5 +1,5 @@
-"""Experiment harness: isomorph-free enumeration of small graphs by vertex
-augmentation, scanning, the bounded-power premise checker, and the
+"""Experiment harness: isomorph-free enumeration of small graphs by orderly
+generation, scanning, the bounded-power premise checker, and the
 reproduction suite behind the ``repro`` subcommand.
 
 Every search verdict comes from ``search_verdict``: a "yes" carries an order
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from contextlib import suppress
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb
 
 from . import fixtures
@@ -44,7 +44,7 @@ from .linquot import (
 from .orderings import _compatible_lift, auto_edge_order, efficient_ordering
 from .power_ideals import CapExceeded, edge_ideal, power_generators
 
-MAX_ENUM_N = 7  # n = 8: 1,044 classes x 128 neighbourhoods, each relabeled up to 8! ways
+MAX_ENUM_N = 7  # n = 8: 133,632 label searches (1,044 classes x 128), about 30 s
 
 
 def all_labeled_graphs(n: int):
@@ -55,40 +55,69 @@ def all_labeled_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def _least_mask(nbrs: list[int], own: int = -1) -> int:
+    """The least edge mask over all relabelings of the graph whose vertex v
+    has neighbour bitmask nbrs[v], or -1 when it is below ``own``: then the
+    search stops at the first label whose least code reads below own's.  The
+    bits of pairs (k, .) outrank all of (j, .) for j < k, topmost (k, n-1); so
+    for k = n-1..0 label k goes to a vertex whose bits to labels n-1..k+1 (its
+    code) read least, and the least codes form the mask.  A state holds the
+    unlabeled vertices as (code, vertex bitmask) cells by ascending code."""
+    n = len(nbrs)
+    if n < 2:
+        return 0
+    states, mask, left = {((0, (1 << n) - 1),)}, 0, n * (n - 1) // 2
+    for k in range(n - 1, 0, -1):
+        best = min(cells[0][0] for cells in states)
+        mask = mask << (n - 1 - k) | best
+        left -= n - k  # own's bits below label k - 1's chunk
+        bound = (own >> left) - (mask << (n - k))  # own's code at label k - 1, < 0 for own -1
+        grown = set()
+        for (code, vs), *rest in states:
+            if code != best:
+                continue
+            for v in range(n):
+                if vs >> v & 1:  # v takes label k
+                    nv, cells = nbrs[v], []
+                    for c, ws in ((code, vs ^ 1 << v), *rest):
+                        if ws & ~nv:
+                            cells.append((c << 1, ws & ~nv))
+                        if ws & nv:
+                            cells.append((c << 1 | 1, ws & nv))
+                    if cells[0][0] < bound:
+                        return -1
+                    grown.add(tuple(cells))
+        states = grown
+    return mask << (n - 1) | min(cells[0][0] for cells in states)
+
+
 def canonical_form(g: Graph) -> int:
-    """The least edge mask of g over all relabelings.  The bits of pairs
-    (k, .) outrank all of (j, .) for j < k, topmost (k, n-1); so for k = n-1..0
-    label k goes to a vertex whose bits to labels n-1..k+1 (its code) read
-    least, ties kept once per code tuple, and the least codes form the mask."""
-    adj = g.adj
-    states, mask = {(0,) * g.n}, 0  # states: the code of each vertex, -1 once labeled
-    for k in range(g.n - 1, -1, -1):
-        best = min(c for codes in states for c in codes if c >= 0)
-        mask = mask << (g.n - 1 - k) | best
-        states = {  # tuple() of a list, as in Graph.adj, so freed states are reused
-            tuple([-1 if cu < 0 or u == v else cu << 1 | (u in adj[v]) for u, cu in enumerate(codes)])
-            for codes in states for v, c in enumerate(codes) if c == best
-        }
-    return mask
+    """The least edge mask of g over all relabelings (see ``_least_mask``)."""
+    return _least_mask([sum(1 << u for u in g.adj[v]) for v in range(g.n)])
 
 
 def nonisomorphic_graphs(n: int):
     """The least labeled graph of each isomorphism class on n <= MAX_ENUM_N
-    vertices, by ascending edge mask.  Every class on m vertices has a member
-    that is one on m - 1 vertices plus vertex m - 1 with some neighbourhood."""
+    vertices, by ascending edge mask, by orderly generation.  Vertex 0's pairs
+    are a mask's lowest bits, and above them lies the rest, shifted down one
+    label: a relabeling of the rest that read less would read less on the
+    whole.  So dropping vertex 0 from a class minimum leaves a class minimum,
+    and the class minima on m vertices are the children base << (m-1) | nbhd
+    of those on m - 1 that no relabeling reads less, in ascending order."""
     if n > MAX_ENUM_N:
         raise ValueError(f"enumeration is desk-scale only (n <= {MAX_ENUM_N})")
-    masks = [0]
+    classes = [(0, [0])]  # (edge mask, neighbour bitmasks) per class minimum
     for m in range(2, n + 1):
-        pairs = list(combinations(range(m - 1), 2))
-        grown = set()
-        for base, nbhd in product(masks, range(1 << (m - 1))):
-            edges = [pairs[i] for i in range(len(pairs)) if base >> i & 1]
-            edges += [(u, m - 1) for u in range(m - 1) if nbhd >> u & 1]
-            grown.add(canonical_form(Graph(m, edges)))
-        masks = sorted(grown)
+        grown = []
+        for base, base_nbrs in classes:
+            for nbhd in range(1 << (m - 1)):
+                nbrs = [nbhd << 1] + [b << 1 | nbhd >> j & 1 for j, b in enumerate(base_nbrs)]
+                child = base << (m - 1) | nbhd
+                if _least_mask(nbrs, child) == child:
+                    grown.append((child, nbrs))
+        classes = grown
     pairs = list(combinations(range(n), 2))
-    for mask in masks:
+    for mask, _ in classes:
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 

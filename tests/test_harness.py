@@ -3,6 +3,7 @@ import random
 import sys
 from itertools import combinations, islice, permutations
 
+import numpy as np
 import pytest
 
 from linquo import fixtures, harness, linquot, power_ideals
@@ -36,18 +37,18 @@ def edge_mask(g: Graph) -> int:
 
 
 @functools.cache
-def relabelings(n: int) -> list[dict[tuple[int, int], int]]:
-    """Per relabeling p of 0..n-1: pair (u, v) -> the edge-mask bit of its image."""
+def relabelings(n: int) -> np.ndarray:
+    """Row p, column i: 2 to the edge-mask bit of the image of pair i under
+    relabeling p of 0..n-1."""
     index = {e: i for i, e in enumerate(combinations(range(n), 2))}
-    return [
-        {(u, v): index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index}
-        for p in permutations(range(n))
-    ]
+    rows = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index] for p in permutations(range(n))]
+    return np.array(rows, dtype=np.int64)
 
 
 def brute_least_mask(g: Graph) -> int:
     """The oracle: the least edge mask over all n! relabelings."""
-    return min(sum(1 << t[e] for e in g.edges) for t in relabelings(g.n))
+    pairs = list(combinations(range(g.n), 2))
+    return int(relabelings(g.n)[:, [pairs.index(e) for e in g.edges]].sum(axis=1).min())
 
 
 def brute_nonisomorphic_graphs(n: int):
@@ -84,6 +85,30 @@ def test_canonical_form_is_the_least_mask(classes):
         assert canonical_form(g) == brute_least_mask(g)
     for g in classes[6]:  # each representative is its class minimum
         assert canonical_form(g) == edge_mask(g)
+
+
+def test_bounded_search_is_beaten_exactly_below_the_class_minimum(classes):
+    # The early exit against the brute-force oracle, with each graph's own
+    # mask as the bound: every child (a new vertex 0 with any neighbourhood)
+    # of every class on at most 5 vertices, and random graphs on at most 6.
+    graphs = [
+        Graph(m + 1, [(0, u + 1) for u in range(m) if nbhd >> u & 1] + [(u + 1, v + 1) for u, v in g.edges])
+        for m in range(6)
+        for g in classes[m]
+        for nbhd in range(1 << m)
+    ]
+    rng = random.Random(16)
+    for _ in range(30):
+        n = rng.randint(0, 6)
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()]))
+    kept = 0
+    for g in graphs:
+        nbrs = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+        own = edge_mask(g)
+        least = brute_least_mask(g)
+        assert harness._least_mask(nbrs, own) == (own if own == least else -1)
+        kept += own == least
+    assert kept >= sum(len(classes[n]) for n in range(1, 7))  # each class minimum is a child
 
 
 def test_canonical_form_matches_the_networkx_atlas(classes):
@@ -190,12 +215,12 @@ def test_scan_small_graphs_classifier_consistency():
 
 
 def test_scan_rejects_large_n(monkeypatch):
-    # Refused before enumerating: n = 8 would relabel 1,044 classes x 128
-    # neighbourhoods up to 8! ways each.
+    # Refused before enumerating: n = 8 would run a label search on each of
+    # 1,044 classes x 128 neighbourhoods.
     def enumerate_nothing(*args):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(harness, "canonical_form", enumerate_nothing)
+    monkeypatch.setattr(harness, "_least_mask", enumerate_nothing)
     for n in (8, 9):
         with pytest.raises(ValueError):
             next(nonisomorphic_graphs(n))
