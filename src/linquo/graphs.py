@@ -4,7 +4,8 @@ and expansion constructions.
 Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
 ``(u, v)`` with ``u < v``; the input edge sequence is preserved because edge
 ideals downstream key their generators by it.  Optional ``labels`` name the
-vertices for rendering only.
+vertices for rendering only.  ``Graph.nbrs``, one int bitmask per vertex
+built with the edge sequence, is the one adjacency every reader uses.
 
 Each classifier is its definition: gapfree is "no induced 2K2", tested by
 the same induced-pattern search as the cricket, diamond, C4 and C5, and
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 class Graph:
     """Finite simple graph on vertices 0..n-1 with an ordered edge sequence."""
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "labels", "nbrs")
 
     def __init__(
         self,
@@ -31,17 +32,17 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         normalized: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        nbrs = [0] * n  # bit u of nbrs[v] is set iff uv is an edge
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n-1}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if nbrs[u] >> v & 1:
                 continue
-            seen.add(e)
-            normalized.append(e)
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+            normalized.append((u, v) if u < v else (v, u))
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -49,19 +50,7 @@ class Graph:
         self.n = n
         self.edges = tuple(normalized)
         self.labels = labels
-        self._adj: tuple[frozenset[int], ...] | None = None
-
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        if self._adj is None:
-            sets: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                sets[u].add(v)
-                sets[v].add(u)
-            # From a list: a tuple() of a generator is allocated large and shrunk, so
-            # freed ones pile up on CPython's free list, which only exact sizes reuse.
-            self._adj = tuple([frozenset(s) for s in sets])
-        return self._adj
+        self.nbrs = tuple(nbrs)
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -123,13 +112,13 @@ def find_induced(g: Graph, pattern: str | Graph) -> tuple[int, ...] | None:
     """The first vertex subset of ``g`` (in ``combinations`` order) that
     induces a copy of the pattern, or None.
 
-    The neighbourhoods of ``g`` are int bitmasks.  For each vertex subset of
-    the pattern's size, a filter compares the subset's sorted induced degrees
-    with the pattern's sorted degree sequence; only subsets that pass it are
-    confirmed by trying every bijection (as a permutation of the subset) that
-    maps the pattern's edges onto edges of ``g``.  Equal degree sequences give
-    equal edge counts, so such a bijection maps edges onto all induced edges
-    and non-edges onto non-edges: the copy is induced.
+    For each vertex subset of the pattern's size, a filter compares the
+    subset's sorted induced degrees with the pattern's sorted degree
+    sequence; only subsets that pass it are confirmed by trying every
+    bijection (as a permutation of the subset) that maps the pattern's edges
+    onto edges of ``g``.  Equal degree sequences give equal edge counts, so
+    such a bijection maps edges onto all induced edges and non-edges onto
+    non-edges: the copy is induced.
 
     A "no" on I(G)^q comes from an exhausted search or a checked restriction
     certificate, whose W is an induced 2K2 found here (``search_verdict``).
@@ -138,11 +127,8 @@ def find_induced(g: Graph, pattern: str | Graph) -> tuple[int, ...] | None:
     k = p.n
     if g.n < k:
         return None
-    degrees = sorted(len(a) for a in p.adj)
-    nb = [0] * g.n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    degrees = sorted(a.bit_count() for a in p.nbrs)
+    nb = g.nbrs
     pedges = p.edges
     for subset in combinations(range(g.n), k):
         s = 0
@@ -179,11 +165,7 @@ def is_cdcc(g: Graph) -> bool:
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u, v in combinations(range(g.n), 2)
-        if v not in g.adj[u]
-    ]
+    edges = [(u, v) for u, v in combinations(range(g.n), 2) if not g.nbrs[u] >> v & 1]
     return Graph(g.n, edges, g.labels)
 
 
@@ -195,10 +177,7 @@ def is_chordal(g: Graph) -> bool:
     (Dirac 1961), so the deletions empty it.  No vertex of a chordless cycle
     is simplicial, so they never empty a graph that has one.
     """
-    nb = [0] * g.n
-    for u, v in g.edges:
-        nb[u] |= 1 << v
-        nb[v] |= 1 << u
+    nb = g.nbrs
     left = (1 << g.n) - 1
     while left:
         for v in range(g.n):
@@ -222,7 +201,7 @@ def duplicate_vertex(g: Graph, x: int) -> Graph:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     y = g.n
-    new_edges = list(g.edges) + [(b, y) for b in sorted(g.adj[x])]
+    new_edges = list(g.edges) + [(b, y) for b in range(g.n) if g.nbrs[x] >> b & 1]
     labels = None
     if g.labels is not None:
         labels = g.labels + (g.labels[x] + "'",)

@@ -15,12 +15,12 @@ import time
 from contextlib import suppress
 from itertools import combinations, permutations
 from math import comb
+from typing import Sequence
 
 from . import fixtures
 from .graphs import (
     TWO_K2,
     Graph,
-    complement,
     contains_induced,
     find_induced,
     induced_subgraph,
@@ -55,7 +55,7 @@ def all_labeled_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def _least_mask(nbrs: list[int], own: int = -1) -> int:
+def _least_mask(nbrs: Sequence[int], own: int = -1) -> int:
     """The least edge mask over all relabelings of the graph whose vertex v
     has neighbour bitmask nbrs[v], or -1 when it is below ``own``: then the
     search stops at the first label whose least code reads below own's.  The
@@ -93,7 +93,7 @@ def _least_mask(nbrs: list[int], own: int = -1) -> int:
 
 def canonical_form(g: Graph) -> int:
     """The least edge mask of g over all relabelings (see ``_least_mask``)."""
-    return _least_mask([sum(1 << u for u in g.adj[v]) for v in range(g.n)])
+    return _least_mask(g.nbrs)
 
 
 def nonisomorphic_graphs(n: int):
@@ -361,7 +361,8 @@ def repro_expansion(check, budget: int) -> None:
             base = search_verdict(g, s, budget)[1]
             if not check(f"{label}, power {s}: base order found", base is not None):
                 continue
-            b_orders = list(permutations(sorted(complement(g).adj[x])))
+            closed = g.nbrs[x] | 1 << x
+            b_orders = list(permutations([b for b in range(g.n) if not closed >> b & 1]))
             ok = True
             for b in b_orders:
                 o = expansion_order(base, x, b)

@@ -44,10 +44,7 @@ def _lift(
             keys.update(dict.fromkeys(row_keys(rows + e)))
         rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
     pg = power_generators(ideal, target_q)
-    seq = tuple(pg.locate(rows))
-    if sorted(seq) != list(range(pg.count)):
-        raise AssertionError(f"{provenance} order lost or duplicated a generator")
-    return GeneratorOrdering(pg, seq, provenance)
+    return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 
 
 def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:

@@ -17,6 +17,16 @@ def from_vars(nvars: int, vs: Iterable[int]) -> Monomial:
     return Monomial(exps)
 
 
+def neighbour_sets(g):
+    """Each vertex's neighbours as a set, read from ``g.edges`` alone, so an
+    oracle built on them shares no code with ``Graph.nbrs``."""
+    sets = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        sets[u].add(v)
+        sets[v].add(u)
+    return sets
+
+
 def eager_power(g, q):
     """The generators of I(G)^q by the plain loop over every size-q edge
     multiset in ``combinations_with_replacement`` order: returns ``index``,

@@ -25,6 +25,8 @@ from linquo.graphs import (
 )
 from linquo.harness import all_labeled_graphs
 
+from helpers import neighbour_sets
+
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -45,6 +47,10 @@ def test_graph_validation():
     # duplicate edges collapse, either orientation
     g = Graph(3, [(0, 1), (1, 0)])
     assert g.edges == ((0, 1),)
+    assert g.nbrs == (0b010, 0b001, 0)
+    g = Graph(4, [(2, 1), (1, 2), (3, 1), (1, 3), (2, 1)])
+    assert g.edges == ((1, 2), (1, 3))
+    assert g.nbrs == (0, 0b1100, 0b0010, 0b0010)
 
 
 def test_graph_equality_is_edge_sequence_based():
@@ -121,8 +127,8 @@ def contains_induced_extension(g, pattern):
     k = p.n
     if g.n < k:
         return False
-    padj = p.adj
-    gadj = g.adj
+    padj = neighbour_sets(p)
+    gadj = neighbour_sets(g)
 
     def extend(mapped, used):
         i = len(mapped)
@@ -192,7 +198,8 @@ def has_chordless_cycle(g):
     for k in range(4, g.n + 1):
         for sub in combinations(range(g.n), k):
             h = induced_subgraph(g, sub)
-            degs = [len(h.adj[v]) for v in range(h.n)]
+            hadj = neighbour_sets(h)
+            degs = [len(a) for a in hadj]
             if any(d != 2 for d in degs):
                 continue
             # 2-regular: connected iff a single cycle
@@ -200,7 +207,7 @@ def has_chordless_cycle(g):
             frontier = [0]
             while frontier:
                 v = frontier.pop()
-                for u in h.adj[v]:
+                for u in hadj[v]:
                     if u not in seen:
                         seen.add(u)
                         frontier.append(u)
@@ -227,7 +234,8 @@ def test_duplicate_vertex():
     gx = duplicate_vertex(g, 0)
     assert gx.n == 5
     assert gx.edge_set == g.edge_set | {(1, 4), (3, 4)}
-    assert gx.adj[4] == gx.adj[0]  # N(y) = N(x)
+    adj = neighbour_sets(gx)
+    assert adj[4] == adj[0] == {1, 3}  # N(y) = N(x)
     assert (0, 4) not in gx.edge_set
     assert gx.labels[4] == "x'"
     # duplicating an isolated vertex adds an isolated vertex
@@ -248,7 +256,7 @@ def test_duplication_edge_counts_random():
     for _ in range(100):
         g = random_small_graph(rng)
         x = rng.randrange(g.n)
-        deg = len(g.adj[x])
+        deg = len(neighbour_sets(g)[x])
         assert len(duplicate_vertex(g, x).edges) == len(g.edges) + deg
         assert len(expand_vertex(g, x).edges) == len(g.edges) + deg + 1
 

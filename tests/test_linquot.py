@@ -40,7 +40,7 @@ from linquo.orderings import (
     efficient_ordering,
     pure_power_edge_sequence,
 )
-from linquo.power_ideals import edge_ideal, power_generators
+from linquo.power_ideals import PowerGenerators, edge_ideal, power_generators
 
 from helpers import from_vars, mixed_radix_verify
 
@@ -103,14 +103,34 @@ def test_per_index_variables():
     assert rep.per_index_variables[1] == {A}
 
 
-def test_sequence_must_be_permutation():
+def test_sequence_must_be_permutation(monkeypatch):
     pg = power_generators(edge_ideal(two_k2()), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="each of the 2 generators exactly once"):
         GeneratorOrdering(pg, (0, 0))
     with pytest.raises(ValueError):
         ordering_from_multisets(pg, [(0,), (0,)])
     with pytest.raises(ValueError):
         ordering_from_multisets(pg, [(0, 1)])
+    # The constructions leave the check to GeneratorOrdering: a locate that
+    # repeats one index (and so drops another) fails each of them.
+    ist = ordering(c5(), 2, ISTANBUL)
+    sq = ordering(fig2(), 2, FIG2_SQUARE)
+    locate = PowerGenerators.locate
+
+    def repeating(self, rows):
+        seq = locate(self, rows)
+        seq[-1] = seq[0]
+        return seq
+
+    monkeypatch.setattr(PowerGenerators, "locate", repeating)
+    for build in (
+        lambda: ordering_from_multisets(ist.base, ISTANBUL),
+        lambda: efficient_ordering(ist, 3),
+        lambda: duplication_order(ist, 0),
+        lambda: expansion_order(sq, 4),
+    ):
+        with pytest.raises(ValueError, match="exactly once"):
+            build()
 
 
 def test_colon_min_gens():
