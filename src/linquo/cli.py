@@ -7,6 +7,7 @@ over the fixed multiset cap (``power_ideals.CAP``).
 An order (``--order``, ``--base-order``, ``--i2-order``) states its power q,
 the size of its edge multisets (every ``builtin:<name>`` order is a square),
 and indexes the graph's edge sequence, which must be the one it was written for.
+Constructions only build: a command verifies a given order before using it.
 
 A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
 ``find-order``, ``verify``, the order constructions, ``compatible-orders``
@@ -34,6 +35,7 @@ from .linquot import (
     OrderingPreconditionError,
     duplication_order,
     expansion_order,
+    require_verified,
     verify_linear_quotients,
 )
 from .monomials import Monomial
@@ -87,7 +89,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compatible-orders", help="compatible order of a power from a square order")
     graph_arg(sp)
-    sp.add_argument("--edge-order", default="auto", help="order file, 'auto', or comma-separated edge indices")
+    sp.add_argument("--edge-order", default="auto", help="order file, 'auto', or edge indices separated by commas or spaces")
     sp.add_argument("--i2-order", default="auto", help="order file, builtin:<name>, or 'auto'")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--emit")
@@ -218,6 +220,7 @@ def _cmd_find_order(args) -> int:
 def _cmd_efficient_order(args) -> int:
     g = fixtures.resolve_graph(args.graph)
     base = fixtures.resolve_order(args.base_order, g)
+    require_verified(base, "efficient_ordering")
     return _print_verified(efficient_ordering(base, args.s), args)
 
 
@@ -237,10 +240,10 @@ def _cmd_admissible_order(args) -> int:
 def _resolve_edge_order(g, token: str, o2) -> tuple[int, ...]:
     if token == "auto":
         return auto_edge_order(g, o2)[0]
-    if "," in token or token.strip().isdigit():
-        return tuple(int(t) for t in token.replace(",", " ").split())
-    with open(token) as fh:
-        return tuple(int(t) for t in fh.read().split())
+    if token.strip("0123456789, \t\n"):  # a file: more than digits, commas and whitespace
+        with open(token) as fh:
+            token = fh.read()
+    return tuple(int(t) for t in token.replace(",", " ").split())
 
 
 def _cmd_compatible_orders(args) -> int:
@@ -255,6 +258,7 @@ def _cmd_compatible_orders(args) -> int:
             return VERDICT_EXIT[record["verdict"]]
     else:
         o2 = fixtures.resolve_order(args.i2_order, g)
+        require_verified(o2, "compatible_orders")
     eo = _resolve_edge_order(g, args.edge_order, o2)
     return _print_verified(compatible_orders(g, eo, o2, args.q), args)
 
@@ -271,11 +275,14 @@ def _cmd_transport(args) -> int:
         return PASS
     o = fixtures.resolve_order(args.order, g)
     if not expand:
+        require_verified(o, "duplication_order")
         return _print_verified(duplication_order(o, x), args)
     b_order = None
     if args.b_order:
         b_order = tuple(int(t) for t in args.b_order.replace(",", " ").split())
-    return _print_verified(expansion_order(o, x, b_order), args)
+    built = expansion_order(o, x, b_order)  # its gapfree and B-order checks report first
+    require_verified(o, "expansion_order")
+    return _print_verified(built, args)
 
 
 def _cmd_classify(args) -> int:

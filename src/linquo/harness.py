@@ -34,14 +34,13 @@ from .linquot import (
     DEFAULT_BUDGET,
     GeneratorOrdering,
     NotGapfree,
-    OrderingPreconditionError,
-    _require_verified,
     duplication_order,
     expansion_order,
     find_lq_order,
+    require_verified,
     verify_linear_quotients,
 )
-from .orderings import _compatible_lift, auto_edge_order, efficient_ordering
+from .orderings import auto_edge_order, compatible_orders, efficient_ordering
 from .power_ideals import CapExceeded, edge_ideal, power_generators
 
 MAX_ENUM_N = 7  # n = 8: 133,632 label searches (1,044 classes x 128), about 30 s
@@ -235,15 +234,15 @@ def check_theorem64_premises(
     elif o2.base.q != 2:
         raise ValueError("the base order must order the generators of the square")
     else:
-        _require_verified(o2, "check_theorem64_premises")
+        require_verified(o2, "check_theorem64_premises")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}
     eo, report["edge_order_source"] = auto_edge_order(g, o2)
     report["edge_order"] = list(eo)
     holds = 2
     for q in range(3, q_through + 1):
         try:
-            o = _compatible_lift(g, eo, o2, q) if q == 3 else efficient_ordering(o, q)
-        except (CapExceeded, OrderingPreconditionError) as e:
+            o = compatible_orders(g, eo, o2, q) if q == 3 else efficient_ordering(o, q)
+        except CapExceeded as e:  # the edge order is admissible by construction
             report["computed"][q] = {"verdict": "unknown", "reason": str(e)}
             break
         rep = verify_linear_quotients(o)

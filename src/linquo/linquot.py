@@ -325,7 +325,8 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
         untried = candidates(mask, support)
 
 
-def _require_verified(o: GeneratorOrdering, what: str) -> None:
+def require_verified(o: GeneratorOrdering, what: str) -> None:
+    """Raise OrderingPreconditionError, naming ``what``, unless ``o`` verifies."""
     report = verify_linear_quotients(o)
     if not report.passed:
         w = report.witness
@@ -350,15 +351,14 @@ def _duplicated_rows(o: GeneratorOrdering, x: int) -> list[tuple[int, ...]]:
 
 
 def duplication_order(o: GeneratorOrdering, x: int) -> GeneratorOrdering:
-    """Extend a verified order on I(G)^s to one on I(G^x)^s: the rows of
-    ``_duplicated_rows``.  The power of the duplicated ideal is recomputed
-    from the duplicated graph, never transformed syntactically.
+    """Extend an order on I(G)^s to one on I(G^x)^s: the rows of
+    ``_duplicated_rows``, in the power recomputed from the duplicated graph,
+    never transformed syntactically.  The caller verifies both orders.
     """
     pg = o.base
     g = pg.ideal.graph
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    _require_verified(o, "duplication_order")
     pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q)
     seq = tuple(pg_x.locate(_duplicated_rows(o, x)))
     return GeneratorOrdering(pg_x, seq, "duplication")
@@ -367,7 +367,7 @@ def duplication_order(o: GeneratorOrdering, x: int) -> GeneratorOrdering:
 def expansion_order(
     o: GeneratorOrdering, x: int, b_order: Sequence[int] | None = None
 ) -> GeneratorOrdering:
-    """Extend a verified order on I(G)^s to one on I(G^[x])^s.
+    """Extend an order on I(G)^s to I(G^[x])^s; the caller verifies both.
 
     With y the new vertex and B = V - N_G[x], mu(u) is the least number of xy
     factors in a factorization of u.  The prefix is the rows of
@@ -391,13 +391,10 @@ def expansion_order(
     b_order = B if b_order is None else tuple(int(b) for b in b_order)
     if sorted(b_order) != list(B):
         raise ValueError(f"b_order must be a permutation of B = {B}")
-    _require_verified(o, "expansion_order")
     pg_exp = power_generators(EdgeIdeal(gexp), pg.q)
     xy, y = len(gexp.edges) - 1, g.n  # xy is the last edge of the expansion
     mu = [min(f.count(xy) for f in facs) for facs in pg_exp.factorizations]
     seq = pg_exp.locate(_duplicated_rows(o, x))
-    if any(mu[i] for i in seq):
-        raise AssertionError("duplication prefix contains a generator with mu > 0")
     rows = pg_exp.exps.tolist()
 
     def key(i: int):

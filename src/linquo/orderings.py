@@ -9,7 +9,7 @@ f_1, ..., f_s, the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 >
 each edge row to the current rows and keeps first appearances, keyed by the
 bytes of each row; the final rows are mapped to generator indices with
 ``PowerGenerators.locate``.  The constructions differ only in where the edge
-sequence comes from.
+sequence comes from.  They only build; the caller verifies.
 
 For q >= 3 a lifted order puts the pure power e_j^q in e_j's block: only
 e_j^(q-1) e_j multiplies out to it.  Its pure powers thus appear in the edge
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
-from .linquot import GeneratorOrdering, OrderingPreconditionError, _require_verified
-from .power_ideals import _check_cap, power_generators, row_keys
+from .linquot import GeneratorOrdering, OrderingPreconditionError
+from .power_ideals import power_generators, row_keys
 
 
 def _lift(
@@ -35,7 +35,7 @@ def _lift(
     """Multiply the order ``o`` up to the power ``target_q`` along the edge
     indices ``edges``."""
     ideal = o.base.ideal
-    _check_cap(ideal.nedges, target_q)
+    pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
     rows = o.exps()
     for _ in range(o.base.q, target_q):
         # One edge block at a time keeps the transient keys to one block.
@@ -43,7 +43,6 @@ def _lift(
         for e in ideal.rows[list(edges)]:
             keys.update(dict.fromkeys(row_keys(rows + e)))
         rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
-    pg = power_generators(ideal, target_q)
     return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 
 
@@ -135,18 +134,10 @@ def compatible_orders(
 ) -> GeneratorOrdering:
     """Build the compatible order for I^target_q from (edge order, square order).
 
-    The square order must verify and the edge order must be admissible; the
-    recursion then multiplies block-by-block along the edge order with
-    first-appearance dedup.  target_q == 2 returns the square order itself.
+    The caller verifies the square order and the result; the edge order must
+    be admissible.  The recursion multiplies block-by-block along the edge
+    order with first-appearance dedup.  target_q == 2 returns the square.
     """
-    _require_verified(o2, "compatible_orders")
-    return _compatible_lift(g, eo, o2, target_q)
-
-
-def _compatible_lift(
-    g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int
-) -> GeneratorOrdering:
-    """``compatible_orders`` for a square order its caller has verified."""
     pg2 = o2.base
     if pg2.ideal.graph != g:
         raise ValueError("square order belongs to another graph or edge sequence")

@@ -1,10 +1,12 @@
 """Shared test helpers."""
 
+import sys
 from itertools import combinations_with_replacement
 from typing import Iterable
 
 import numpy as np
 
+from linquo import linquot
 from linquo.linquot import LqReport, LqWitness, _bitmasks
 from linquo.monomials import Monomial
 
@@ -15,6 +17,22 @@ def from_vars(nvars: int, vs: Iterable[int]) -> Monomial:
     for v in vs:
         exps[v] += 1
     return Monomial(exps)
+
+
+def count_verifier_calls(monkeypatch) -> list[int]:
+    """Patch ``verify_linear_quotients`` wherever a linquo module binds it;
+    the returned list gets the power q of each order verified from then on."""
+    orig = linquot.verify_linear_quotients
+    verified: list[int] = []
+
+    def counted(o):
+        verified.append(o.base.q)
+        return orig(o)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("linquo") and getattr(module, "verify_linear_quotients", None) is orig:
+            monkeypatch.setattr(module, "verify_linear_quotients", counted)
+    return verified
 
 
 def neighbour_sets(g):

@@ -8,6 +8,8 @@ from linquo.linquot import GeneratorOrdering, SearchResult
 from linquo.orderings import efficient_ordering
 from linquo.power_ideals import edge_ideal, power_generators
 
+from helpers import count_verifier_calls
+
 PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
 Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the test
 
@@ -101,6 +103,62 @@ def test_an_order_file_states_its_power(tmp_path, capsys):
     edgeless.write_text("3\n")
     empty.write_text("")
     assert cli.main(["verify", "--graph", str(edgeless), "--order", str(empty)]) == PASS
+
+
+FAILING = "<failing.order>"  # stands for fig2's square order reversed, written by the test
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        pytest.param(argv, what, id=argv[0])
+        for argv, what in [
+            (["compatible-orders", "--graph", "fig2", "--i2-order", FAILING, "--q", "3"], "compatible_orders"),
+            (["duplicate", "--graph", "fig2", "--vertex", "x", "--order", FAILING], "duplication_order"),
+            (["expand", "--graph", "fig2", "--vertex", "x", "--order", FAILING], "expansion_order"),
+            (["efficient-order", "--graph", "fig2", "--base-order", FAILING, "--s", "3"], "efficient_ordering"),
+        ]
+    ],
+)
+def test_a_given_order_that_fails_is_rejected_before_the_construction(argv, what, tmp_path, capsys):
+    # The constructions only build; the command verifies the order it is given.
+    square = fixtures.builtin_order("fig2", power_generators(edge_ideal(fixtures.fig2()), 2))
+    path = tmp_path / "failing.order"
+    path.write_text("\n".join(reversed(fixtures.format_order(square).splitlines())) + "\n")
+    assert cli.main([str(path) if a == FAILING else a for a in argv]) == FAIL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"rejected: {what} requires a verified linear-quotients order; fails at position 1")
+
+
+# The power of each order a command verifies: the given or searched order,
+# then the built one.  A searched square's only verification is the search's own.
+VERIFIED_POWERS = [
+    (["compatible-orders", "--graph", "fig2", "--q", "3"], [2, 3]),
+    (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "3"], [2, 3]),
+    (["duplicate", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"], [2, 2]),
+    (["expand", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"], [2, 2]),
+    (["efficient-order", "--graph", "fig2", "--base-order", "builtin:fig2", "--s", "3"], [2, 3]),
+]
+
+
+@pytest.mark.parametrize("argv, powers", [pytest.param(a, p, id=" ".join(a)) for a, p in VERIFIED_POWERS])
+def test_each_order_is_verified_once(argv, powers, monkeypatch, capsys):
+    verified = count_verifier_calls(monkeypatch)
+    assert cli.main(argv) == PASS
+    assert verified == powers
+
+
+def test_edge_order_reads_what_admissible_order_prints(capsys):
+    assert cli.main(["admissible-order", "--graph", "c5"]) == PASS
+    printed = capsys.readouterr().out
+    assert printed == "0 4 1 2 3\n"
+    outputs = []
+    for eo in (printed, "0,4,1,2,3"):
+        argv = ["compatible-orders", "--graph", "c5", "--i2-order", "builtin:istanbul", "--edge-order", eo, "--q", "3"]
+        outputs.append((cli.main(argv), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].out.count("\n") == 35
 
 
 def test_powers_list(capsys):

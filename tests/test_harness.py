@@ -1,12 +1,12 @@
 import functools
+import json
 import random
-import sys
 from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
 
-from linquo import fixtures, harness, linquot, power_ideals
+from linquo import cli, fixtures, harness, power_ideals
 from linquo.fixtures import c5, fig4, gamma7, two_k2
 from linquo.graphs import Graph, induced_subgraph, is_cdcc, is_gapfree
 from linquo.harness import (
@@ -21,7 +21,7 @@ from linquo.harness import (
 from linquo.linquot import OrderingPreconditionError, find_lq_order, ordering_from_multisets
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import neighbour_sets
+from helpers import count_verifier_calls, neighbour_sets
 
 
 # Classes of graphs on n = 0..6 vertices (OEIS A000088).
@@ -248,16 +248,7 @@ def test_check_theorem64_premises_verifies_each_power_once(monkeypatch):
     # The square is checked once, before the cube is lifted from it along the
     # edge order; every later power is lifted from the one below and verified
     # once.
-    orig = linquot.verify_linear_quotients
-    verified = []
-
-    def counted(o):
-        verified.append(o.base.q)
-        return orig(o)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("linquo") and getattr(module, "verify_linear_quotients", None) is orig:
-            monkeypatch.setattr(module, "verify_linear_quotients", counted)
+    verified = count_verifier_calls(monkeypatch)
     o2 = fixtures.builtin_order("fig4", power_generators(edge_ideal(fig4()), 2))
     report = check_theorem64_premises(fig4(), o2=o2)
     assert report["holds_through"] == 7
@@ -314,6 +305,53 @@ def test_theorem64_cap_hit_reports_no_failure(monkeypatch):
     assert report["computed"][2]["verdict"] == "unknown"
     assert report["holds_through"] is None and report["implied"] is None
     assert "first_failure_q" not in report
+
+
+def test_theorem64_cap_hit_above_the_square_is_unknown(monkeypatch, capsys):
+    # I(c5)^q has C(q+4, 4) edge multisets: 4 * 70 = 280 entries at q = 4, 630 at q = 5.
+    monkeypatch.setattr(power_ideals, "CAP", 280)
+    report = check_theorem64_premises(c5())
+    reason = "126 edge multisets for q=5 over 5 edges (630 entries) exceed cap 280"
+    assert report["computed"][5] == {"verdict": "unknown", "reason": reason}
+    assert list(report["computed"]) == [2, 3, 4, 5]
+    assert report["holds_through"] == 4
+    assert "first_failure_q" not in report and report["implied"] is None
+    assert cli.main(["thm64", "--graph", "c5"]) == cli.BUDGET
+    assert json.loads(capsys.readouterr().out)["computed"]["5"]["reason"] == reason
+
+
+# Orders each repro target verifies: constructions only build, so each order
+# is verified once, by the target.
+REPRO_VERIFIER_CALLS = {
+    "istanbul": 2,
+    "pentagon-powers": 4,
+    "fig2": 3,
+    "fig4": 2,
+    "gamma7": 6,
+    "cdcc6": 0,
+    "expansion": 7,
+    "thm64-c5": 7,
+}
+
+
+def test_every_repro_target_passes_and_verifies_each_order_once(monkeypatch):
+    verified = count_verifier_calls(monkeypatch)
+    calls = {}
+
+    def counting(name, target):
+        def run(check, budget):
+            start = len(verified)
+            target(check, budget)
+            calls[name] = len(verified) - start
+
+        return run
+
+    for name, target in list(harness.REPRO_SUITE.items()):
+        monkeypatch.setitem(harness.REPRO_SUITE, name, counting(name, target))
+    reports, ok = harness.run_repro()
+    assert [r["name"] for r in reports if r["passed"]] == list(REPRO_VERIFIER_CALLS)
+    assert ok
+    assert calls == REPRO_VERIFIER_CALLS
 
 
 def test_classify_graph_cdcc_matches_is_cdcc():

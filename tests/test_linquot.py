@@ -24,7 +24,6 @@ from linquo.harness import nonisomorphic_graphs
 from linquo.linquot import (
     GeneratorOrdering,
     NotGapfree,
-    OrderingPreconditionError,
     _colon_tables,
     _extends,
     colon_min_gens,
@@ -112,7 +111,8 @@ def test_sequence_must_be_permutation(monkeypatch):
     with pytest.raises(ValueError):
         ordering_from_multisets(pg, [(0, 1)])
     # The constructions leave the check to GeneratorOrdering: a locate that
-    # repeats one index (and so drops another) fails each of them.
+    # repeats one index (and so drops another), or that loses a row (-1), fails
+    # each of them.
     ist = ordering(c5(), 2, ISTANBUL)
     sq = ordering(fig2(), 2, FIG2_SQUARE)
     locate = PowerGenerators.locate
@@ -120,6 +120,11 @@ def test_sequence_must_be_permutation(monkeypatch):
     def repeating(self, rows):
         seq = locate(self, rows)
         seq[-1] = seq[0]
+        return seq
+
+    def losing(self, rows):
+        seq = locate(self, rows)
+        seq[-1] = -1
         return seq
 
     monkeypatch.setattr(PowerGenerators, "locate", repeating)
@@ -131,6 +136,10 @@ def test_sequence_must_be_permutation(monkeypatch):
     ):
         with pytest.raises(ValueError, match="exactly once"):
             build()
+    # expansion_order's duplication prefix, its last row lost: fig2 at x.
+    monkeypatch.setattr(PowerGenerators, "locate", losing)
+    with pytest.raises(ValueError, match="each of the 70 generators exactly once"):
+        expansion_order(sq, 4)
 
 
 def test_colon_min_gens():
@@ -279,12 +288,6 @@ def test_duplication_order_without_the_vertex_is_identity():
     o = duplication_order(base, 3)
     assert [m.exps[:4] for m in o.monomials()] == [m.exps for m in base.monomials()]
     assert len(o) == len(base)
-
-
-def test_duplication_order_rejects_failing_base():
-    o = first_power_ordering(two_k2(), (0, 1))
-    with pytest.raises(OrderingPreconditionError):
-        duplication_order(o, 0)
 
 
 P3 = Graph(3, [(0, 1), (1, 2)], labels=("a", "x", "b"))

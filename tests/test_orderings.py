@@ -155,10 +155,7 @@ def test_compatible_orders_base_case_and_validation():
         compatible_orders(g, eo, o3, 4)  # base must order the square
     with pytest.raises(OrderingPreconditionError):
         compatible_orders(g, (0, 2, 1, 3, 4), ist, 3)  # inadmissible edge order
-    failing = ordering(g, 2, list(reversed(ISTANBUL)))
-    assert not verify_linear_quotients(failing).passed
-    with pytest.raises(OrderingPreconditionError):
-        compatible_orders(g, eo, failing, 3)
+    # A failing square is refused where it enters, by the CLI (test_cli).
 
 
 def test_compatible_orders_pentagon_through_power_four():
