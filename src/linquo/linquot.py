@@ -23,10 +23,11 @@ where they are the generators that need no xy factor, and appends the rest.
 
 The search applies the same criterion to one candidate at a time, with sets of
 generators held as Python int bitmasks over generator indices: per candidate
-c, one numpy pass over ``exps - exps[c]`` gives the generators whose colon
-against c has degree > 1, and per variable v those whose colon is x_v and
-those whose colon involves v.  Testing c after a prefix is then a few int
-operations on those masks and the prefix's mask.
+c, the generators whose colon against c has degree > 1, and per variable v
+those whose colon is x_v and those whose colon involves v.  One numpy pass
+over ``exps[None] - exps[cs, None]`` gives them for a block cs of candidates,
+so small powers pay the fixed cost of a numpy call once per block.  Testing c
+after a prefix is then a few int operations on those masks and the prefix's.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ DEFAULT_BUDGET = 10**6
 
 # Positions whose divisor keys ``verify_linear_quotients`` builds at a time.
 _KEY_BLOCK = 512
+
+# Difference-array entries per colon-table pass of ``find_lq_order``.
+_TABLE_CELLS = 2**14
 
 
 class NotGapfree(ValueError):
@@ -122,10 +126,11 @@ class LqReport:
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with bit p set where row[p]."""
-    return [
-        int.from_bytes(b.tobytes(), "little")
-        for b in np.packbits(rows, axis=1, bitorder="little")
-    ]
+    if not rows.shape[1]:
+        return [0] * len(rows)
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little"))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    return [int.from_bytes(b, "little") for b in keys]
 
 
 def _unit_colon_masks(E: np.ndarray) -> list[int]:
@@ -213,23 +218,28 @@ class SearchResult:
 _Tables = tuple[int, tuple[tuple[int, int], ...]]
 
 
-def _colon_tables(E: np.ndarray, c: int) -> _Tables:
-    """The colons u_p : u_c of every row p of E against row c, as bitmasks over p.
+def _colon_tables(E: np.ndarray, cs: range) -> list[_Tables]:
+    """The colons u_p : u_c of every row p of E against each row c in cs, as bitmasks over p.
 
-    Returns ``(wide, units)``: ``wide`` holds the p with deg(u_p : u_c) > 1;
+    Per c, ``(wide, units)``: ``wide`` holds the p with deg(u_p : u_c) > 1;
     ``units`` has one pair ``(unit, touch)`` per variable v that is some
     degree-one colon, where ``unit`` holds the p with u_p : u_c = x_v and
     ``touch`` the p with v in supp(u_p : u_c).
     """
-    D = E - E[c]
+    # D[c, v, p]: the exponent of x_v in u_p : u_c, for c in the block.
+    D = E.T[None] - E[cs.start : cs.stop, :, None]
     np.maximum(D, 0, out=D)
     pos = D > 0
     degs = D.sum(axis=1)
     unit = pos & (degs == 1)[:, None]
-    wide, *masks = _bitmasks(np.vstack([degs > 1, unit.T, pos.T]))
+    stacked = np.concatenate([(degs > 1)[:, None], unit, pos], axis=1)
+    masks = _bitmasks(stacked.reshape(-1, len(E)))
     n = E.shape[1]
-    units = tuple((masks[v], masks[n + v]) for v in range(n) if masks[v])
-    return wide, units
+    tables = []
+    for at in range(0, len(masks), 2 * n + 1):
+        wide, *m = masks[at : at + 2 * n + 1]
+        tables.append((wide, tuple((m[v], m[n + v]) for v in range(n) if m[v])))
+    return tables
 
 
 def _extends(tables: _Tables, mask: int) -> bool:
@@ -257,11 +267,12 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     prefix is entered whose set was exhausted before under another order.
 
     The prefix, its support and each generator's support are int bitmasks.
-    The first time a candidate is tested, ``_colon_tables`` computes its
-    colons against every generator in one numpy pass; each later test against
-    a prefix is a few int operations (``_extends``).  The tables live for one
-    call.  The tree is walked with an explicit stack, so the depth (one level
-    per generator) is not bounded by Python's recursion limit.
+    The first time a candidate is tested, ``_colon_tables`` computes the
+    colons of its aligned block of max(1, _TABLE_CELLS // exps.size)
+    candidates against every generator in one numpy pass; each later test
+    against a prefix is a few int operations (``_extends``).  The tables live
+    for one call and are the same for any block.  The tree is walked with an
+    explicit stack, so its depth is not bounded by Python's recursion limit.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -271,6 +282,7 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     E = pg.exps
     supports = _bitmasks(E > 0)
     tables: list[_Tables | None] = [None] * r
+    block = max(1, _TABLE_CELLS // E.size)
     # support -> range(r) sorted by shared support.  The key depends on the
     # support alone and sorted is stable, so ties stay in index order and
     # dropping the prefix from the list keeps the order of the rest.
@@ -301,7 +313,9 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     while True:
         for c in untried:
             if tables[c] is None:
-                tables[c] = _colon_tables(E, c)
+                start = c - c % block
+                cs = range(start, min(start + block, r))
+                tables[start : start + block] = _colon_tables(E, cs)
             if _extends(tables[c], mask) and mask | 1 << c not in dead:
                 break
         else:
@@ -384,7 +398,7 @@ def expansion_order(
     gexp = expand_vertex(g, x)
     if not is_gapfree(gexp):
         raise NotGapfree(
-            f"expansion at vertex {x} rejected: the expanded graph is not gapfree"
+            f"expansion at vertex {x}: the expanded graph is not gapfree"
         )
     closed = g.nbrs[x] | 1 << x
     B = tuple(b for b in range(g.n) if not closed >> b & 1)

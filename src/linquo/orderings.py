@@ -147,7 +147,7 @@ def compatible_orders(
         raise ValueError("target power must be >= 2")
     if not is_admissible(g, eo):
         raise OrderingPreconditionError(
-            "compatible_orders rejected: the edge ordering is not admissible"
+            "compatible_orders: the edge ordering is not admissible"
         )
     if target_q == 2:
         return o2

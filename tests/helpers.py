@@ -112,3 +112,18 @@ def mixed_radix_verify(o):
             witness = LqWitness(t, i, Monomial(np.maximum(E[i] - E[t], 0)))
             break
     return LqReport(witness is None, witness, tuple(shared[m] for m in var_masks))
+
+
+def one_candidate_colon_tables(E, c):
+    """The ``(wide, units)`` colon tables of row c of E alone, from one numpy
+    pass over ``E - E[c]``: the search's per-candidate tables before they were
+    built in blocks, kept as the blocked tables' oracle."""
+    D = E - E[c]
+    np.maximum(D, 0, out=D)
+    pos = D > 0
+    degs = D.sum(axis=1)
+    unit = pos & (degs == 1)[:, None]
+    wide, *masks = _bitmasks(np.vstack([degs > 1, unit.T, pos.T]))
+    n = E.shape[1]
+    units = tuple((masks[v], masks[n + v]) for v in range(n) if masks[v])
+    return wide, units

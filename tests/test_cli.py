@@ -131,6 +131,26 @@ def test_a_given_order_that_fails_is_rejected_before_the_construction(argv, what
     assert err.startswith(f"rejected: {what} requires a verified linear-quotients order; fails at position 1")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["compatible-orders", "--graph", "c5", "--i2-order", "builtin:istanbul", "--edge-order", "0,2,1,3,4", "--q", "3"],
+            "rejected: compatible_orders: the edge ordering is not admissible\n",
+        ),
+        (
+            ["expand", "--graph", "c5", "--vertex", "a", "--order", "builtin:istanbul"],
+            "rejected: expansion at vertex 0: the expanded graph is not gapfree\n",
+        ),
+    ],
+    ids=["compatible-orders", "expand"],
+)
+def test_a_failed_precondition_is_reported_rejected_once(argv, err, capsys):
+    assert cli.main(argv) == FAIL
+    out, got = capsys.readouterr()
+    assert (out, got) == ("", err)
+
+
 # The power of each order a command verifies: the given or searched order,
 # then the built one.  A searched square's only verification is the search's own.
 VERIFIED_POWERS = [

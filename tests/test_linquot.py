@@ -41,7 +41,7 @@ from linquo.orderings import (
 )
 from linquo.power_ideals import PowerGenerators, edge_ideal, power_generators
 
-from helpers import from_vars, mixed_radix_verify
+from helpers import from_vars, mixed_radix_verify, one_candidate_colon_tables
 
 A, B, C, D, E = range(5)
 
@@ -439,7 +439,49 @@ def test_extension_check_matches_colon_min_gens():
         mask = sum(1 << p for p in seq[:t])
         mins = colon_min_gens(GeneratorOrdering(pg, tuple(seq)), t)
         want = all(m.degree() == 1 for m in mins)
-        assert _extends(_colon_tables(pg.exps, c), mask) == want
+        assert _extends(_colon_tables(pg.exps, range(pg.count))[c], mask) == want
+
+
+def test_blocked_colon_tables_match_the_one_candidate_tables(monkeypatch):
+    # The search builds the tables of an aligned block of candidates in one
+    # pass.  Blocks 1, 2, 3 and r + 1 wide, on powers whose r is no multiple
+    # of 2 or 3, so the last block is short: every candidate's tables equal
+    # the one-candidate reference's, and the search does not depend on the width.
+    blocked = linquot._colon_tables
+    built = []
+
+    def recording(E, cs):
+        tables = blocked(E, cs)
+        built.append((cs, tables))
+        return tables
+
+    monkeypatch.setattr(linquot, "_colon_tables", recording)
+    rng = random.Random(43)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(3, 6)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        if not g.edges:
+            continue
+        pg = power_generators(edge_ideal(g), rng.randint(1, 3))
+        r = pg.count
+        if r < 5 or r > 90 or r % 2 == 0 or r % 3 == 0:
+            continue
+        want = [one_candidate_colon_tables(pg.exps, c) for c in range(r)]
+        assert blocked(pg.exps, range(r)) == want
+        searches = set()
+        for width in (1, 2, 3, r + 1):
+            monkeypatch.setattr(linquot, "_TABLE_CELLS", width * pg.exps.size)
+            built.clear()
+            res = find_lq_order(pg, budget=2000)
+            order = res.ordering and res.ordering.sequence
+            searches.add((res.status, res.nodes, res.backtracks, order))
+            assert built
+            for cs, tables in built:
+                assert cs.start % width == 0 and cs.stop == min(cs.start + width, r)
+                assert tables == want[cs.start : cs.stop]
+        assert len(searches) == 1
+        checked += 1
 
 
 def reference_verify(o):
