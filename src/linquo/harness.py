@@ -1,6 +1,6 @@
-"""Experiment harness: isomorph-free enumeration of small graphs by orderly
-generation, scanning, the bounded-power premise checker, and the
-reproduction suite behind the ``repro`` subcommand.
+"""Experiment harness: scanning, the bounded-power premise checker, and the
+reproduction suite behind the ``repro`` subcommand.  Isomorph-free
+enumeration lives in ``enumeration``; its public names are bound here too.
 
 Every search verdict comes from ``search_verdict``: a "yes" carries an order
 re-verified before the record was written, a "no" an exhausted search or a
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import time
 from contextlib import suppress
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
-from typing import Sequence
 
 from . import fixtures
+from .enumeration import all_labeled_graphs, canonical_form, nonisomorphic_graphs
 from .graphs import (
     TWO_K2,
     Graph,
@@ -43,88 +43,9 @@ from .linquot import (
 from .orderings import auto_edge_order, compatible_orders, efficient_ordering
 from .power_ideals import CapExceeded, edge_ideal, power_generators
 
-MAX_ENUM_N = 7  # n = 8: 133,632 label searches (1,044 classes x 128), about 30 s
-
-
-def all_labeled_graphs(n: int):
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-mask order: bit i of
-    the edge mask of a graph is pair i of ``combinations(range(n), 2)``."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
-def _least_mask(nbrs: Sequence[int], own: int = -1) -> int:
-    """The least edge mask over all relabelings of the graph whose vertex v
-    has neighbour bitmask nbrs[v], or -1 when it is below ``own``: then the
-    search stops at the first label whose least code reads below own's.  The
-    bits of pairs (k, .) outrank all of (j, .) for j < k, topmost (k, n-1); so
-    for k = n-1..0 label k goes to a vertex whose bits to labels n-1..k+1 (its
-    code) read least, and the least codes form the mask.  A state holds the
-    unlabeled vertices as (code, vertex bitmask) cells by ascending code."""
-    n = len(nbrs)
-    if n < 2:
-        return 0
-    states, mask, left = {((0, (1 << n) - 1),)}, 0, n * (n - 1) // 2
-    for k in range(n - 1, 0, -1):
-        best = min(cells[0][0] for cells in states)
-        mask = mask << (n - 1 - k) | best
-        left -= n - k  # own's bits below label k - 1's chunk
-        bound = (own >> left) - (mask << (n - k))  # own's code at label k - 1, < 0 for own -1
-        grown = set()
-        for (code, vs), *rest in states:
-            if code != best:
-                continue
-            for v in range(n):
-                if vs >> v & 1:  # v takes label k
-                    nv, cells = nbrs[v], []
-                    for c, ws in ((code, vs ^ 1 << v), *rest):
-                        if ws & ~nv:
-                            cells.append((c << 1, ws & ~nv))
-                        if ws & nv:
-                            cells.append((c << 1 | 1, ws & nv))
-                    if cells[0][0] < bound:
-                        return -1
-                    grown.add(tuple(cells))
-        states = grown
-    return mask << (n - 1) | min(cells[0][0] for cells in states)
-
-
-def canonical_form(g: Graph) -> int:
-    """The least edge mask of g over all relabelings (see ``_least_mask``)."""
-    return _least_mask(g.nbrs)
-
-
-def nonisomorphic_graphs(n: int):
-    """The least labeled graph of each isomorphism class on n <= MAX_ENUM_N
-    vertices, by ascending edge mask, by orderly generation.  Vertex 0's pairs
-    are a mask's lowest bits, and above them lies the rest, shifted down one
-    label: a relabeling of the rest that read less would read less on the
-    whole.  So dropping vertex 0 from a class minimum leaves a class minimum,
-    and the class minima on m vertices are the children base << (m-1) | nbhd
-    of those on m - 1 that no relabeling reads less, in ascending order."""
-    if n > MAX_ENUM_N:
-        raise ValueError(f"enumeration is desk-scale only (n <= {MAX_ENUM_N})")
-    classes = [(0, [0])]  # (edge mask, neighbour bitmasks) per class minimum
-    for m in range(2, n + 1):
-        grown = []
-        for base, base_nbrs in classes:
-            for nbhd in range(1 << (m - 1)):
-                nbrs = [nbhd << 1] + [b << 1 | nbhd >> j & 1 for j, b in enumerate(base_nbrs)]
-                child = base << (m - 1) | nbhd
-                if _least_mask(nbrs, child) == child:
-                    grown.append((child, nbrs))
-        classes = grown
-    pairs = list(combinations(range(n), 2))
-    for mask, _ in classes:
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
 def classify_graph(g: Graph) -> dict:
     gapfree = is_gapfree(g)
-    induced = {
-        name: contains_induced(g, name) for name in ("cricket", "diamond", "c4", "c5")
-    }
+    induced = {name: contains_induced(g, name) for name in ("cricket", "diamond", "c4", "c5")}
     return {
         "n": g.n,
         "edges": [list(e) for e in g.edges],
@@ -184,19 +105,16 @@ def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET) -> dict:
 
 def scan_small_graphs(n: int, q_max: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Classify and search one graph per isomorphism class on n vertices."""
-    results = []
-    for g in nonisomorphic_graphs(n):
-        record = {
+    return [
+        {
             "edges": [list(e) for e in g.edges],
             "gapfree": is_gapfree(g),
             "cochordal": is_cochordal(g),
             "cdcc": is_cdcc(g),
-            "lq": {},
+            "lq": {q: lq_verdict(g, q, budget) for q in range(1, q_max + 1)},
         }
-        for q in range(1, q_max + 1):
-            record["lq"][q] = lq_verdict(g, q, budget)
-        results.append(record)
-    return results
+        for g in nonisomorphic_graphs(n)
+    ]
 
 
 def check_theorem64_premises(
@@ -228,8 +146,7 @@ def check_theorem64_premises(
             report["computed"][2] = record
             if record["verdict"] == "no":
                 report["first_failure_q"] = 2
-            report["holds_through"] = None
-            report["implied"] = None
+            report["holds_through"] = report["implied"] = None
             return report
     elif o2.base.q != 2:
         raise ValueError("the base order must order the generators of the square")
@@ -246,22 +163,15 @@ def check_theorem64_premises(
             report["computed"][q] = {"verdict": "unknown", "reason": str(e)}
             break
         rep = verify_linear_quotients(o)
-        report["computed"][q] = {
-            "verdict": "yes" if rep.passed else "fail",
-            "count": len(o),
-        }
+        report["computed"][q] = {"verdict": "yes" if rep.passed else "fail", "count": len(o)}
         if not rep.passed:
             report["first_failure_q"] = q
             break
         holds = q
     report["holds_through"] = holds
-    if holds >= 7:
-        report["implied"] = (
-            "compatible orders verified for q = 2..7; the tower extends to "
-            "every power q >= 2"
-        )
-    else:
-        report["implied"] = None
+    report["implied"] = None if holds < 7 else (
+        "compatible orders verified for q = 2..7; the tower extends to every power q >= 2"
+    )
     return report
 
 
@@ -330,16 +240,12 @@ def repro_gamma7(check, budget: int) -> None:
     o3 = efficient_ordering(o2, 3)
     # Duplicate z, then keep duplicating the freshest copy: 7, 8, 9 vertices.
     for q, base in ((2, o2), (3, o3)):
-        o = base
-        vertex = 5
-        for step in range(3):
+        o, vertex = base, 5
+        for _ in range(3):
             o = duplication_order(o, vertex)
             graph = o.base.ideal.graph
-            check(
-                f"power {q}, {graph.n} vertices: duplicated order verifies and CDCC holds",
-                verify_linear_quotients(o).passed and is_cdcc(graph),
-                count=len(o),
-            )
+            what = f"power {q}, {graph.n} vertices: duplicated order verifies and CDCC holds"
+            check(what, verify_linear_quotients(o).passed and is_cdcc(graph), count=len(o))
             vertex = graph.n - 1
 
 
@@ -386,11 +292,8 @@ def repro_thm64_c5(check, budget: int) -> None:
     computed = {str(k): v for k, v in report["computed"].items()}
     c8 = computed.pop("8", {})
     check("compatible orders verify for powers 3..7", report["holds_through"] >= 7, computed=computed)
-    check(
-        "power 8 compatible order (495 generators) verifies",
-        c8 == {"verdict": "yes", "count": 495},
-        count=c8.get("count"),
-    )
+    what = "power 8 compatible order (495 generators) verifies"
+    check(what, c8 == {"verdict": "yes", "count": 495}, count=c8.get("count"))
 
 
 REPRO_SUITE = {
@@ -429,12 +332,6 @@ def run_repro(
 
         t0 = time.perf_counter()
         REPRO_SUITE[name](check, budget)
-        reports.append(
-            {
-                "name": name,
-                "passed": all(c["ok"] for c in checks),
-                "elapsed_s": round(time.perf_counter() - t0, 3),
-                "checks": checks,
-            }
-        )
+        passed, elapsed = all(c["ok"] for c in checks), round(time.perf_counter() - t0, 3)
+        reports.append({"name": name, "passed": passed, "elapsed_s": elapsed, "checks": checks})
     return reports, all(r["passed"] for r in reports)

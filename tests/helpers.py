@@ -1,7 +1,8 @@
 """Shared test helpers."""
 
+import functools
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterable
 
 import numpy as np
@@ -43,6 +44,22 @@ def neighbour_sets(g):
         sets[u].add(v)
         sets[v].add(u)
     return sets
+
+
+@functools.cache
+def relabelings(n: int) -> np.ndarray:
+    """Row p, column i: 2 to the edge-mask bit of the image of pair i under
+    relabeling p of 0..n-1."""
+    index = {e: i for i, e in enumerate(combinations(range(n), 2))}
+    rows = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index] for p in permutations(range(n))]
+    return np.array(rows, dtype=np.int64)
+
+
+def brute_least_mask(g) -> int:
+    """The oracle of ``enumeration.canonical_form``: the least edge mask of g over
+    all n! relabelings."""
+    pairs = list(combinations(range(g.n), 2))
+    return int(relabelings(g.n)[:, [pairs.index(e) for e in g.edges]].sum(axis=1).min())
 
 
 def eager_power(g, q):

@@ -1,12 +1,10 @@
-import functools
 import json
 import random
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 
-import numpy as np
 import pytest
 
-from linquo import cli, fixtures, harness, power_ideals
+from linquo import cli, enumeration, fixtures, harness, power_ideals
 from linquo.fixtures import c5, fig4, gamma7, two_k2
 from linquo.graphs import Graph, induced_subgraph, is_cdcc, is_gapfree
 from linquo.harness import (
@@ -21,7 +19,7 @@ from linquo.harness import (
 from linquo.linquot import OrderingPreconditionError, find_lq_order, ordering_from_multisets
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import count_verifier_calls, neighbour_sets
+from helpers import brute_least_mask, count_verifier_calls
 
 
 # Classes of graphs on n = 0..6 vertices (OEIS A000088).
@@ -36,21 +34,6 @@ def classes():
 def edge_mask(g: Graph) -> int:
     pairs = list(combinations(range(g.n), 2))
     return sum(1 << pairs.index(e) for e in g.edges)
-
-
-@functools.cache
-def relabelings(n: int) -> np.ndarray:
-    """Row p, column i: 2 to the edge-mask bit of the image of pair i under
-    relabeling p of 0..n-1."""
-    index = {e: i for i, e in enumerate(combinations(range(n), 2))}
-    rows = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in index] for p in permutations(range(n))]
-    return np.array(rows, dtype=np.int64)
-
-
-def brute_least_mask(g: Graph) -> int:
-    """The oracle: the least edge mask over all n! relabelings."""
-    pairs = list(combinations(range(g.n), 2))
-    return int(relabelings(g.n)[:, [pairs.index(e) for e in g.edges]].sum(axis=1).min())
 
 
 def brute_nonisomorphic_graphs(n: int):
@@ -81,18 +64,22 @@ def test_nonisomorphic_graphs_match_the_brute_force_dedup(classes):
 
 def test_canonical_form_is_the_least_mask(classes):
     rng = random.Random(8)
-    for _ in range(30):
-        n = rng.randint(0, 6)
+    for n in [rng.randint(0, 6) for _ in range(30)] + [7] * 3:
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
         assert canonical_form(g) == brute_least_mask(g)
-    for g in classes[6]:  # each representative is its class minimum
+    # Each representative is its class minimum: every class on 5 vertices and
+    # every 13th on 6 (each call builds the tables on g.n - 1 vertices afresh).
+    for g in classes[5] + classes[6][::13]:
         assert canonical_form(g) == edge_mask(g)
 
 
-def test_bounded_search_is_beaten_exactly_below_the_class_minimum(classes):
-    # The early exit against the brute-force oracle, with each graph's own
-    # mask as the bound: every child (a new vertex 0 with any neighbourhood)
-    # of every class on at most 5 vertices, and random graphs on at most 6.
+def test_child_decision_matches_the_brute_force_least_mask(classes):
+    # The deletion rule against the brute-force oracle, on the tables of the
+    # stage below: every child (a new vertex 0 with any neighbourhood) of
+    # every class on at most 5 vertices, and random graphs on at most 6.  With
+    # its own mask as the bound, a graph is kept exactly when it is its class
+    # minimum; otherwise it is rejected by a G - x that reads below its top
+    # bits (-1) or the rule gives the minimum, as it does without a bound.
     graphs = [
         Graph(m + 1, [(0, u + 1) for u in range(m) if nbhd >> u & 1] + [(u + 1, v + 1) for u, v in g.edges])
         for m in range(6)
@@ -101,27 +88,50 @@ def test_bounded_search_is_beaten_exactly_below_the_class_minimum(classes):
     ]
     rng = random.Random(16)
     for _ in range(30):
-        n = rng.randint(0, 6)
+        n = rng.randint(1, 6)
         graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()]))
+    masks = {m: [edge_mask(g) for g in classes[m]] for m in range(6)}
+    tables = {m: enumeration._relabel_tables(masks[m], m) for m in range(6)}
     kept = 0
     for g in graphs:
-        nbrs = [sum(1 << u for u in a) for a in neighbour_sets(g)]
-        own = edge_mask(g)
-        least = brute_least_mask(g)
-        assert harness._least_mask(nbrs, own) == (own if own == least else -1)
+        own, least = edge_mask(g), brute_least_mask(g)
+        decided = enumeration._least(own, g.n, tables[g.n - 1], own)
+        assert (decided == own) == (own == least) and decided in (-1, least)
+        assert enumeration._least(own, g.n, tables[g.n - 1]) == least
         kept += own == least
     assert kept >= sum(len(classes[n]) for n in range(1, 7))  # each class minimum is a child
 
 
-def test_canonical_form_matches_the_networkx_atlas(classes):
+def test_nonisomorphic_graphs_match_the_networkx_atlas(classes):
+    # The atlas side by the brute-force oracle, which shares no code with the
+    # enumerator: on n <= 7 vertices (1,044 classes on 7), each atlas graph is
+    # the class of exactly one representative.
     nx = pytest.importorskip("networkx")
-    atlas: dict[int, list[int]] = {n: [] for n in classes}
+    reps = {**classes, 7: list(nonisomorphic_graphs(7))}
+    atlas: dict[int, list[int]] = {n: [] for n in reps}
     for a in nx.graph_atlas_g():
         if a.number_of_nodes() in atlas:
-            atlas[a.number_of_nodes()].append(canonical_form(Graph(a.number_of_nodes(), a.edges())))
-    for n, reps in classes.items():
-        # each atlas graph is the class of exactly one representative
-        assert sorted(atlas[n]) == [edge_mask(g) for g in reps]
+            atlas[a.number_of_nodes()].append(brute_least_mask(Graph(a.number_of_nodes(), a.edges())))
+    assert len(atlas[7]) == 1044
+    for n, graphs in reps.items():
+        assert sorted(atlas[n]) == [edge_mask(g) for g in graphs]
+
+
+def test_each_enumeration_builds_its_own_tables(monkeypatch):
+    # Nothing is kept between calls: two enumerations on 6 vertices build the
+    # tables of every stage below twice, and yield the same graphs.
+    built = []
+
+    def counting(classes, k):
+        built.append(k)
+        return relabel_tables(classes, k)
+
+    relabel_tables = enumeration._relabel_tables
+    monkeypatch.setattr(enumeration, "_relabel_tables", counting)
+    first = [g.edges for g in nonisomorphic_graphs(6)]
+    assert built == [1, 2, 3, 4, 5]
+    assert [g.edges for g in nonisomorphic_graphs(6)] == first
+    assert built == [1, 2, 3, 4, 5] * 2
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -217,17 +227,19 @@ def test_scan_small_graphs_classifier_consistency():
 
 
 def test_scan_rejects_large_n(monkeypatch):
-    # Refused before enumerating: n = 8 would run a label search on each of
-    # 1,044 classes x 128 neighbourhoods.
+    # Refused before any table is built: n = 8 would need the tables on 7
+    # vertices, 2^21 masks and 1,044 classes x 5,040 relabelings.
     def enumerate_nothing(*args):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(harness, "_least_mask", enumerate_nothing)
+    monkeypatch.setattr(enumeration, "_relabel_tables", enumerate_nothing)
     for n in (8, 9):
         with pytest.raises(ValueError):
             next(nonisomorphic_graphs(n))
         with pytest.raises(ValueError):  # the same refusal, through the scan
             scan_small_graphs(n, 1)
+        with pytest.raises(ValueError, match="desk-scale only"):
+            canonical_form(Graph(n, [(0, 1)]))
 
 
 def test_check_theorem64_premises_pentagon():
