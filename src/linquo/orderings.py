@@ -19,7 +19,7 @@ compatible order of I^(q+1), and a chain of pure-power lifts is one lift.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -37,11 +37,10 @@ def _lift(
     ideal = o.base.ideal
     pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
     rows = o.exps()
+    erows = ideal.rows[list(edges)]
     for _ in range(o.base.q, target_q):
-        # One edge block at a time keeps the transient keys to one block.
-        keys: dict[bytes, None] = {}
-        for e in ideal.rows[list(edges)]:
-            keys.update(dict.fromkeys(row_keys(rows + e)))
+        # One dict per step, fed one edge block of keys at a time.
+        keys = dict.fromkeys(chain.from_iterable(row_keys(rows + e) for e in erows))
         rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
     return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 

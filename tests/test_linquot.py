@@ -608,13 +608,29 @@ def _mixed_radix_corpus():
     return orders
 
 
-@pytest.mark.parametrize("block", [None, 1, 3])
-def test_verifier_matches_the_mixed_radix_oracle(monkeypatch, block):
-    # Blocks of 1 and 3 positions make divisor groups span blocks.
+@pytest.mark.parametrize(
+    "name, block",
+    [
+        ("_KEY_BLOCK", None),
+        ("_KEY_BLOCK", 1),
+        ("_KEY_BLOCK", 3),
+        ("_COVER_BLOCK", 1),
+        ("_COVER_BLOCK", 64),
+        ("_COVER_BLOCK", 65),
+    ],
+    ids=["None", "1", "3", "cover-1", "cover-64", "cover-65"],
+)
+def test_verifier_matches_the_mixed_radix_oracle(monkeypatch, name, block):
+    # Key blocks of 1 and 3 positions make divisor groups span blocks of the
+    # dict walk.  Cover blocks of 1, 64 and 65 positions put witnesses on both
+    # sides of a block edge: the adjacent swaps of c5's 1,001-generator order
+    # at 63, 65 and 127 fail at (t, i) = (63, 61), (65, 55) and (127, 126).
     if block is not None:
-        monkeypatch.setattr(linquot, "_KEY_BLOCK", block)
+        monkeypatch.setattr(linquot, name, block)
+    corpus = _mixed_radix_corpus()
+    c5_q10 = next(o for o in corpus if len(o) == 1001)
     failed = 0
-    for o in _mixed_radix_corpus():
+    for o in corpus:
         got = verify_linear_quotients(o)
         want = mixed_radix_verify(o)
         assert got.passed == want.passed
@@ -622,32 +638,72 @@ def test_verifier_matches_the_mixed_radix_oracle(monkeypatch, block):
         assert got.per_index_variables == want.per_index_variables
         failed += not got.passed
     assert failed == 16  # the 13 shuffles and 3 of the 13 swaps
+    witnesses = []
+    for k in (63, 65, 127):
+        swapped = list(c5_q10.sequence)
+        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+        o = GeneratorOrdering(c5_q10.base, tuple(swapped))
+        got = verify_linear_quotients(o)
+        assert got == mixed_radix_verify(o)
+        witnesses.append((got.witness.t, got.witness.i))
+    assert witnesses == [(63, 61), (65, 55), (127, 126)]
 
 
-def test_verifier_keys_are_exact_past_64_vertices():
+def _k5_cube_past_64_vertices():
     # K5 on vertices spread up to 69: divisor keys hold 70 int64 exponents.
     spread = (0, 31, 64, 66, 69)
     g = Graph(70, list(combinations(spread, 2)))
     found = find_lq_order(power_generators(edge_ideal(g), 2)).ordering
-    o = efficient_ordering(found, 3)
+    return efficient_ordering(found, 3)
+
+
+def test_verifier_keys_are_exact_past_64_vertices():
+    o = _k5_cube_past_64_vertices()
     rep = verify_linear_quotients(o)
     assert rep.passed and _report_fields(rep) == reference_verify(o)
     for v in _with_variants(o, random.Random(53)):
         assert verify_linear_quotients(v) == mixed_radix_verify(v)
 
 
+def test_unit_colon_paths_agree(monkeypatch):
+    # The dict walk and the sort are each forced on every order in turn, from
+    # 15 to 1,001 generators and on 70 vertices; masks and reports must agree.
+    rng = random.Random(59)
+    orders = _mixed_radix_corpus()
+    for build in [b for b, _ in VERIFIER_PINS] + [_k5_cube_past_64_vertices]:
+        orders += _with_variants(build(), rng)
+    results = []
+    for rows in (0, max(map(len, orders)) + 1):
+        monkeypatch.setattr(linquot, "_SORT_ROWS", rows)
+        results.append(
+            [(linquot._unit_colon_masks(o.exps()), verify_linear_quotients(o)) for o in orders]
+        )
+    assert results[0] == results[1]
+    assert len(orders) == 51 and sum(not rep.passed for _, rep in results[0]) == 22
+
+
+def _gamma7_tower_order():
+    g = gamma7()
+    o2 = find_lq_order(power_generators(edge_ideal(g), 2)).ordering
+    return compatible_orders(g, auto_edge_order(g, o2)[0], o2, 7)
+
+
 def test_verifier_memory_on_the_c5_s16_order():
-    # 4,845 generators.  Divisor keys are built in blocks of positions; keys
-    # for the whole order at once peaked at about 4.8 MB.
-    o = efficient_ordering(ordering(c5(), 2, ISTANBUL), 16)
-    tracemalloc.start()
-    try:
-        rep = verify_linear_quotients(o)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.passed and len(o) == 4845
-    assert peak < 2_500_000
+    # 4,845 and 8,142 generators (c5 at s = 16, and gamma7 at q = 7 as the
+    # tower builds it), both verified through the sort of narrow divisor rows.
+    # On gamma7 that peaks at about 1.8 MB; the dict walk's divisor keys,
+    # built in blocks of positions, peaked at 2.09 MB there, and keys for a
+    # whole order at once at about 4.8 MB on c5.
+    c5_s16 = efficient_ordering(ordering(c5(), 2, ISTANBUL), 16)
+    for o, r in ((c5_s16, 4845), (_gamma7_tower_order(), 8142)):
+        tracemalloc.start()
+        try:
+            rep = verify_linear_quotients(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and len(o) == r
+        assert peak < 2_500_000
 
 
 def test_find_lq_order_depth_is_not_bounded_by_recursion():
