@@ -51,9 +51,6 @@ DEFAULT_BUDGET = 10**6
 # the sort is 15-40% faster from r = 233 on.
 _SORT_ROWS = 128
 
-# Positions whose divisor keys the dict walk builds at a time.
-_KEY_BLOCK = 512
-
 # Positions per block of the verifier's cover test.
 _COVER_BLOCK = 1024
 
@@ -147,23 +144,21 @@ def _unit_colon_masks(E: np.ndarray) -> list[int]:
     """Per row t of E, the bitmask of the v with u_j : u_t = x_v for an
     earlier row j: the pairs (t, w), w in supp(u_t), whose divisor u_t / x_w
     is an earlier pair's u_j / x_v.  Below ``_SORT_ROWS`` rows the pairs are
-    walked in row order, keyed by the ``row_keys`` of m = u_t / x_w (built
-    ``_KEY_BLOCK`` rows at a time), with ``seen[m]`` the v of the earlier rows
-    m x_v.  From there one stable sort puts each m's pairs together in row
-    order; a group holds at most n pairs, one per w, so for each lag d < n a
-    pair gains the w of the pair d places before it when both share m."""
+    walked in row order, keyed by the ``row_keys`` of m = u_t / x_w, with
+    ``seen[m]`` the v of the earlier rows m x_v.  From there one stable sort
+    puts each m's pairs together in row order; a group holds at most n pairs,
+    one per w, so for each lag d < n a pair gains the w of the pair d places
+    before it when both share m."""
     r, n = E.shape
     if r < _SORT_ROWS:
         masks = [0] * r
         seen: dict[bytes, int] = {}
-        for start in range(0, r, _KEY_BLOCK):
-            block = E[start : start + _KEY_BLOCK]
-            ts, ws = np.nonzero(block)
-            divisors = block[ts] - np.eye(n, dtype=np.int64)[ws]
-            for t, w, m in zip((ts + start).tolist(), ws.tolist(), row_keys(divisors)):
-                got = seen.get(m, 0)
-                masks[t] |= got
-                seen[m] = got | 1 << w
+        ts, ws = np.nonzero(E)
+        divisors = E[ts] - np.eye(n, dtype=np.int64)[ws]
+        for t, w, m in zip(ts.tolist(), ws.tolist(), row_keys(divisors)):
+            got = seen.get(m, 0)
+            masks[t] |= got
+            seen[m] = got | 1 << w
         return masks
     # int32 indices and the narrowest exponent dtype keep the arrays small.
     ts, ws = (a.astype(np.int32) for a in np.nonzero(E))

@@ -1,7 +1,8 @@
 import json
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
+import numpy as np
 import pytest
 
 from linquo import cli, enumeration, fixtures, harness, power_ideals
@@ -19,7 +20,7 @@ from linquo.harness import (
 from linquo.linquot import OrderingPreconditionError, find_lq_order, ordering_from_multisets
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import brute_least_mask, count_verifier_calls
+from helpers import brute_least_mask, count_verifier_calls, relabelings
 
 
 # Classes of graphs on n = 0..6 vertices (OEIS A000088).
@@ -67,19 +68,41 @@ def test_canonical_form_is_the_least_mask(classes):
     for n in [rng.randint(0, 6) for _ in range(30)] + [7] * 3:
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()])
         assert canonical_form(g) == brute_least_mask(g)
-    # Each representative is its class minimum: every class on 5 vertices and
-    # every 13th on 6 (each call builds the tables on g.n - 1 vertices afresh).
-    for g in classes[5] + classes[6][::13]:
+    # Each representative is its class minimum: every class on 5 and 6
+    # vertices (each call builds the tables on g.n - 1 vertices afresh).
+    for g in classes[5] + classes[6]:
         assert canonical_form(g) == edge_mask(g)
+
+
+def test_relabel_tables_match_brute_force(classes):
+    # Every entry of the tables on k <= 5 vertices against the relabelings
+    # of the oracle, row p in ``permutations`` order.
+    for k in range(6):
+        masks = np.array([edge_mask(g) for g in classes[k]], dtype=np.int64)
+        got_classes, cls_of, perm_of, pre, orbit = enumeration._relabel_tables(masks, k)
+        perms = list(permutations(range(k)))
+        relabel = relabelings(k)
+        images = [relabel[:, [i for i in range(relabel.shape[1]) if r >> i & 1]].sum(axis=1) for r in masks]
+        pairs = list(combinations(range(k), 2))
+        for mask in range(1 << len(pairs)):
+            least = brute_least_mask(Graph(k, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
+            assert got_classes[cls_of[mask]] == least
+            assert perm_of[mask] == list(images[cls_of[mask]]).index(mask)
+        vertex_sets = range(1 << k)
+        for p, perm in enumerate(perms):
+            assert list(pre[p]) == [sum(1 << v for v in range(k) if s >> perm[v] & 1) for s in vertex_sets]
+        for c, image in enumerate(images):
+            auts = [perm for perm, to in zip(perms, image) if to == masks[c]]
+            want = [min(sum(1 << perm[v] for v in range(k) if s >> v & 1) for perm in auts) for s in vertex_sets]
+            assert list(orbit[c]) == want
 
 
 def test_child_decision_matches_the_brute_force_least_mask(classes):
     # The deletion rule against the brute-force oracle, on the tables of the
     # stage below: every child (a new vertex 0 with any neighbourhood) of
-    # every class on at most 5 vertices, and random graphs on at most 6.  With
-    # its own mask as the bound, a graph is kept exactly when it is its class
-    # minimum; otherwise it is rejected by a G - x that reads below its top
-    # bits (-1) or the rule gives the minimum, as it does without a bound.
+    # every class on at most 5 vertices, and random graphs on at most 6, each
+    # size decided in one array pass.  A child is kept exactly when it is its
+    # class minimum.
     graphs = [
         Graph(m + 1, [(0, u + 1) for u in range(m) if nbhd >> u & 1] + [(u + 1, v + 1) for u, v in g.edges])
         for m in range(6)
@@ -90,15 +113,16 @@ def test_child_decision_matches_the_brute_force_least_mask(classes):
     for _ in range(30):
         n = rng.randint(1, 6)
         graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < rng.random()]))
-    masks = {m: [edge_mask(g) for g in classes[m]] for m in range(6)}
-    tables = {m: enumeration._relabel_tables(masks[m], m) for m in range(6)}
     kept = 0
-    for g in graphs:
-        own, least = edge_mask(g), brute_least_mask(g)
-        decided = enumeration._least(own, g.n, tables[g.n - 1], own)
-        assert (decided == own) == (own == least) and decided in (-1, least)
-        assert enumeration._least(own, g.n, tables[g.n - 1]) == least
-        kept += own == least
+    for n in range(1, 7):
+        sized = [g for g in graphs if g.n == n]
+        own = np.array([edge_mask(g) for g in sized], dtype=np.int64)
+        below = np.array([edge_mask(g) for g in classes[n - 1]], dtype=np.int64)
+        decided = enumeration._least(own, n, enumeration._relabel_tables(below, n - 1))
+        least = np.array([brute_least_mask(g) for g in sized])
+        assert list(decided) == list(least)
+        assert list(decided == own) == list(own == least)
+        kept += int((decided == own).sum())
     assert kept >= sum(len(classes[n]) for n in range(1, 7))  # each class minimum is a child
 
 
