@@ -22,13 +22,12 @@ generator u, then its substitutes u y^k / x^k.  Duplication maps those rows
 into the power of I(G^x); expansion maps them into the power of I(G^[x]),
 where they are the generators that need no xy factor, and appends the rest.
 
-The search applies the same criterion to one candidate at a time, with sets of
-generators held as Python int bitmasks over generator indices: per candidate
-c, the generators whose colon against c has degree > 1, and per variable v
-those whose colon is x_v and those whose colon involves v.  One numpy pass
-over ``exps[None] - exps[cs, None]`` gives them for a block cs of candidates,
-so small powers pay the fixed cost of a numpy call once per block.  Testing c
-after a prefix is then a few int operations on those masks and the prefix's.
+The search applies the same criterion to one candidate at a time, on Python
+int bitmasks over generator indices built once per search from the
+verifier's divisor keys and ``above`` masks: per candidate c and per variable
+v that is some degree-one colon against c, the generators whose colon is x_v
+and those whose colon involves v.  Testing c after a prefix is then a few int
+operations on those masks and the prefix's.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ _SORT_ROWS = 128
 
 # Positions per block of the verifier's cover test.
 _COVER_BLOCK = 1024
-
-# Difference-array entries per colon-table pass of ``find_lq_order``.
-_TABLE_CELLS = 2**14
 
 
 class NotGapfree(ValueError):
@@ -140,22 +136,33 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(b, "little") for b in keys]
 
 
+def _divisor_keys(E: np.ndarray) -> Iterator[tuple[int, int, bytes]]:
+    """(t, w, the ``row_keys`` of u_t / x_w) for each w in supp(u_t), in row order."""
+    ts, ws = np.nonzero(E)
+    divisors = E[ts] - np.eye(E.shape[1], dtype=np.int64)[ws]
+    return zip(ts.tolist(), ws.tolist(), row_keys(divisors))
+
+
+def _above(E: np.ndarray) -> tuple[list[int], int]:
+    """``(above, width)``: above[v * width + k] holds the rows whose exponent of v exceeds k."""
+    r, n = E.shape
+    width = int(E.max(initial=0)) + 1
+    return _bitmasks((E.T[:, None, :] > np.arange(width)[:, None]).reshape(n * width, r)), width
+
+
 def _unit_colon_masks(E: np.ndarray) -> list[int]:
     """Per row t of E, the bitmask of the v with u_j : u_t = x_v for an
     earlier row j: the pairs (t, w), w in supp(u_t), whose divisor u_t / x_w
-    is an earlier pair's u_j / x_v.  Below ``_SORT_ROWS`` rows the pairs are
-    walked in row order, keyed by the ``row_keys`` of m = u_t / x_w, with
-    ``seen[m]`` the v of the earlier rows m x_v.  From there one stable sort
-    puts each m's pairs together in row order; a group holds at most n pairs,
-    one per w, so for each lag d < n a pair gains the w of the pair d places
-    before it when both share m."""
+    is an earlier pair's u_j / x_v.  Below ``_SORT_ROWS`` rows the
+    ``_divisor_keys`` are walked, with ``seen[m]`` the v of the earlier rows
+    m x_v.  From there one stable sort puts each m's pairs together in row
+    order; a group holds at most n pairs, one per w, so for each lag d < n a
+    pair gains the w of the pair d places before it when both share m."""
     r, n = E.shape
     if r < _SORT_ROWS:
         masks = [0] * r
         seen: dict[bytes, int] = {}
-        ts, ws = np.nonzero(E)
-        divisors = E[ts] - np.eye(n, dtype=np.int64)[ws]
-        for t, w, m in zip(ts.tolist(), ws.tolist(), row_keys(divisors)):
+        for t, w, m in _divisor_keys(E):
             got = seen.get(m, 0)
             masks[t] |= got
             seen[m] = got | 1 << w
@@ -201,9 +208,7 @@ def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     E = o.exps()
     r, n = E.shape
     var_masks = _unit_colon_masks(E)
-    # above[v * width + k]: the positions whose exponent of v exceeds k.
-    width = int(E.max(initial=0)) + 1
-    above = _bitmasks((E.T[:, None, :] > np.arange(width)[:, None]).reshape(n * width, r))
+    above, width = _above(E)
     shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
     witness: LqWitness | None = None
     for start in range(0, r, _COVER_BLOCK):
@@ -249,47 +254,37 @@ class SearchResult:
     backtracks: int
 
 
-# (wide, units) of one candidate; see ``_colon_tables``.
-_Tables = tuple[int, tuple[tuple[int, int], ...]]
+def _search_tables(E: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Per row c of E, a pair ``(unit, touch)`` of bitmasks over the rows p for
+    each v, ascending, with some u_p : u_c = x_v: ``unit`` holds those p and
+    ``touch``, the ``above`` mask of v at u_c's exponent, the p with v in
+    supp(u_p : u_c).  u_p : u_c = x_v iff u_p = m x_v and u_c = m x_w for some
+    m, so one walk over the divisor keys records each unit colon both ways."""
+    units = [[0] * E.shape[1] for _ in E]
+    # divisor key -> the pairs (p, v) walked so far with u_p = m x_v
+    groups: dict[bytes, list[tuple[int, int]]] = {}
+    for t, w, m in _divisor_keys(E):
+        group = groups.setdefault(m, [])
+        for p, v in group:
+            units[t][v] |= 1 << p
+            units[p][w] |= 1 << t
+        group.append((t, w))
+    above, width = _above(E)
+    return [
+        tuple((unit, above[v * width + k]) for v, (unit, k) in enumerate(zip(us, row)) if unit)
+        for us, row in zip(units, E.tolist())
+    ]
 
 
-def _colon_tables(E: np.ndarray, cs: range) -> list[_Tables]:
-    """The colons u_p : u_c of every row p of E against each row c in cs, as bitmasks over p.
-
-    Per c, ``(wide, units)``: ``wide`` holds the p with deg(u_p : u_c) > 1;
-    ``units`` has one pair ``(unit, touch)`` per variable v that is some
-    degree-one colon, where ``unit`` holds the p with u_p : u_c = x_v and
-    ``touch`` the p with v in supp(u_p : u_c).
-    """
-    # D[c, v, p]: the exponent of x_v in u_p : u_c, for c in the block.
-    D = E.T[None] - E[cs.start : cs.stop, :, None]
-    np.maximum(D, 0, out=D)
-    pos = D > 0
-    degs = D.sum(axis=1)
-    unit = pos & (degs == 1)[:, None]
-    stacked = np.concatenate([(degs > 1)[:, None], unit, pos], axis=1)
-    masks = _bitmasks(stacked.reshape(-1, len(E)))
-    n = E.shape[1]
-    tables = []
-    for at in range(0, len(masks), 2 * n + 1):
-        wide, *m = masks[at : at + 2 * n + 1]
-        tables.append((wide, tuple((m[v], m[n + v]) for v in range(n) if m[v])))
-    return tables
-
-
-def _extends(tables: _Tables, mask: int) -> bool:
+def _extends(units: tuple[tuple[int, int], ...], mask: int) -> bool:
     """Whether the colon ideal of the prefix ``mask`` at the tables' generator
-    is generated by variables: every wide colon in the prefix is divisible by
-    a variable that is itself a colon in the prefix."""
-    wide, units = tables
-    bad = wide & mask
-    if not bad:
-        return True
-    explained = 0
+    is generated by variables: every prefix row lies in a touch mask whose unit
+    meets the prefix (a row whose colon is x_v lies in both masks of v)."""
+    covered = 0
     for unit, touch in units:
         if unit & mask:
-            explained |= touch
-    return not bad & ~explained
+            covered |= touch
+    return not mask & ~covered
 
 
 def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -302,12 +297,11 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     prefix is entered whose set was exhausted before under another order.
 
     The prefix, its support and each generator's support are int bitmasks.
-    The first time a candidate is tested, ``_colon_tables`` computes the
-    colons of its aligned block of max(1, _TABLE_CELLS // exps.size)
-    candidates against every generator in one numpy pass; each later test
-    against a prefix is a few int operations (``_extends``).  The tables live
-    for one call and are the same for any block.  The tree is walked with an
-    explicit stack, so its depth is not bounded by Python's recursion limit.
+    ``_search_tables`` builds every candidate's unit and touch masks once,
+    from the verifier's divisor keys and ``above`` masks; each test of a
+    candidate against a prefix is then a few int operations (``_extends``).
+    The tree is walked with an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -316,8 +310,7 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
         return SearchResult("found", GeneratorOrdering(pg, (), "search"), 0, 0)
     E = pg.exps
     supports = _bitmasks(E > 0)
-    tables: list[_Tables | None] = [None] * r
-    block = max(1, _TABLE_CELLS // E.size)
+    tables = _search_tables(E)
     # support -> range(r) sorted by shared support.  The key depends on the
     # support alone and sorted is stable, so ties stay in index order and
     # dropping the prefix from the list keeps the order of the rest.
@@ -347,10 +340,6 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     backtracks = 0
     while True:
         for c in untried:
-            if tables[c] is None:
-                start = c - c % block
-                cs = range(start, min(start + block, r))
-                tables[start : start + block] = _colon_tables(E, cs)
             if _extends(tables[c], mask) and mask | 1 << c not in dead:
                 break
         else:

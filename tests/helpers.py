@@ -2,7 +2,7 @@
 
 import functools
 import sys
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -134,7 +134,7 @@ def mixed_radix_verify(o):
 def one_candidate_colon_tables(E, c):
     """The ``(wide, units)`` colon tables of row c of E alone, from one numpy
     pass over ``E - E[c]``: the search's per-candidate tables before they were
-    built in blocks, kept as the blocked tables' oracle."""
+    built from divisor keys, kept as ``linquot._search_tables``' oracle."""
     D = E - E[c]
     np.maximum(D, 0, out=D)
     pos = D > 0
@@ -144,3 +144,81 @@ def one_candidate_colon_tables(E, c):
     n = E.shape[1]
     units = tuple((masks[v], masks[n + v]) for v in range(n) if masks[v])
     return wide, units
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def hilbert_numerator(rows) -> list[int]:
+    """The numerator K(t) of the Hilbert series HS(S/I) = K(t) / (1 - t)^n of
+    the monomial ideal I generated by the exponent rows ``rows``, as its
+    coefficients from t^0 up, with no trailing zeros.
+
+    For a variable x, 0 -> S/(I : x)(-1) -> S/I -> S/(I + (x)) -> 0 gives
+    K(I) = (1 - t) K(I without the generators x divides) + t K(I : x).  The
+    pivot is the variable dividing the most generators; once none divides
+    two, the generators are pairwise coprime and K is the product of their
+    1 - t^deg.  Shares no code with ``linquo``.
+    """
+    memo: dict[frozenset, list[int]] = {}
+
+    def minimal(gens) -> frozenset:
+        gens = set(gens)
+        return frozenset(
+            a for a in gens if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in gens)
+        )
+
+    def numerator(gens: frozenset) -> list[int]:
+        if gens in memo:
+            return memo[gens]
+        counts = [sum(a[v] > 0 for a in gens) for v in range(n)]
+        x = max(range(n), key=counts.__getitem__, default=None)
+        if x is None or counts[x] <= 1:
+            k = [1]
+            for a in gens:
+                k = _poly_add(k, [0] * sum(a) + [-c for c in k])
+        else:
+            rest = numerator(frozenset(a for a in gens if not a[x]))
+            colon = numerator(minimal(a[:x] + (max(a[x] - 1, 0),) + a[x + 1 :] for a in gens))
+            k = _poly_add(_poly_add(rest, [0] + [-c for c in rest]), [0] + colon)
+        memo[gens] = k
+        return k
+
+    rows = [tuple(int(e) for e in row) for row in rows]
+    n = len(rows[0]) if rows else 0
+    return numerator(minimal(rows))
+
+
+def sign_faults(k: list[int], d: int) -> list[int]:
+    """The degrees j at which K(t) rules out a linear resolution of an ideal
+    generated in degree d.  Such a resolution gives
+    K = 1 + sum_i (-1)^(i+1) beta_i t^(d+i), so the coefficient of t^j is 0
+    for 0 < j < d and has the sign (-1)^(j-d+1), or is 0, from j = d on.
+    Linear quotients give a linear resolution (Herzog-Takayama 2002), so a
+    fault proves that the ideal has none; no fault proves nothing."""
+    return [j for j, c in enumerate(k) if (c if 0 < j < d else j >= d and (-1) ** (j - d + 1) * c < 0)]
+
+
+def shortest_chordless_cycle_of_complement(g) -> tuple[int, ...] | None:
+    """The vertex set W of a shortest induced cycle of length >= 4 in the
+    complement of g, the first in ``combinations`` order, or None when the
+    complement is chordal."""
+    nbrs = neighbour_sets(g)
+    for k in range(4, g.n + 1):
+        for w in combinations(range(g.n), k):
+            # the complement's neighbours of each vertex inside W
+            co = {u: {v for v in w if v != u and v not in nbrs[u]} for u in w}
+            if any(len(vs) != 2 for vs in co.values()):
+                continue
+            seen, frontier = {w[0]}, [w[0]]
+            while frontier:
+                new = [v for u in frontier for v in co[u] if v not in seen]
+                seen.update(new)
+                frontier = new
+            if len(seen) == k:
+                return w
+    return None

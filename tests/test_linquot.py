@@ -24,8 +24,8 @@ from linquo.harness import nonisomorphic_graphs
 from linquo.linquot import (
     GeneratorOrdering,
     NotGapfree,
-    _colon_tables,
     _extends,
+    _search_tables,
     colon_min_gens,
     duplication_order,
     expansion_order,
@@ -439,49 +439,56 @@ def test_extension_check_matches_colon_min_gens():
         mask = sum(1 << p for p in seq[:t])
         mins = colon_min_gens(GeneratorOrdering(pg, tuple(seq)), t)
         want = all(m.degree() == 1 for m in mins)
-        assert _extends(_colon_tables(pg.exps, range(pg.count))[c], mask) == want
+        assert _extends(_search_tables(pg.exps)[c], mask) == want
 
 
-def test_blocked_colon_tables_match_the_one_candidate_tables(monkeypatch):
-    # The search builds the tables of an aligned block of candidates in one
-    # pass.  Blocks 1, 2, 3 and r + 1 wide, on powers whose r is no multiple
-    # of 2 or 3, so the last block is short: every candidate's tables equal
-    # the one-candidate reference's, and the search does not depend on the width.
-    blocked = linquot._colon_tables
-    built = []
-
-    def recording(E, cs):
-        tables = blocked(E, cs)
-        built.append((cs, tables))
-        return tables
-
-    monkeypatch.setattr(linquot, "_colon_tables", recording)
+def test_search_tables_match_the_one_candidate_tables():
+    # The search's tables come from the divisor keys and the ``above`` masks,
+    # the oracle's from one pass over E - E[c]: the units agree for every c,
+    # and the oracle's wide colons are the rows other than c and its units,
+    # which is why ``_extends`` needs no wide mask.
     rng = random.Random(43)
-    checked = 0
-    while checked < 30:
+    powers = [power_generators(edge_ideal(g), q) for g in (c5(), fig4(), gamma7()) for q in (1, 2)]
+    while len(powers) < 36:
         n = rng.randint(3, 6)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
-        if not g.edges:
-            continue
-        pg = power_generators(edge_ideal(g), rng.randint(1, 3))
+        if g.edges:
+            pg = power_generators(edge_ideal(g), rng.randint(1, 3))
+            if pg.count <= 90:
+                powers.append(pg)
+    for pg in powers:
         r = pg.count
-        if r < 5 or r > 90 or r % 2 == 0 or r % 3 == 0:
-            continue
-        want = [one_candidate_colon_tables(pg.exps, c) for c in range(r)]
-        assert blocked(pg.exps, range(r)) == want
-        searches = set()
-        for width in (1, 2, 3, r + 1):
-            monkeypatch.setattr(linquot, "_TABLE_CELLS", width * pg.exps.size)
-            built.clear()
-            res = find_lq_order(pg, budget=2000)
-            order = res.ordering and res.ordering.sequence
-            searches.add((res.status, res.nodes, res.backtracks, order))
-            assert built
-            for cs, tables in built:
-                assert cs.start % width == 0 and cs.stop == min(cs.start + width, r)
-                assert tables == want[cs.start : cs.stop]
-        assert len(searches) == 1
-        checked += 1
+        tables = _search_tables(pg.exps)
+        assert len(tables) == r
+        for c, units in enumerate(tables):
+            wide, want = one_candidate_colon_tables(pg.exps, c)
+            assert units == want
+            unit_rows = 0
+            for unit, _ in units:
+                unit_rows |= unit
+            assert wide == (1 << r) - 1 & ~(1 << c | unit_rows)
+
+
+def test_search_tables_of_a_single_generator():
+    # One edge: every power has one generator, no unit colon, and the empty
+    # prefix extends.
+    for q in (1, 2, 3):
+        pg = power_generators(edge_ideal(Graph(2, [(0, 1)])), q)
+        assert pg.count == 1
+        assert _search_tables(pg.exps) == [()]
+        assert _extends((), 0)
+        assert find_lq_order(pg).ordering.sequence == (0,)
+
+
+def test_search_tables_of_two_disjoint_edges():
+    # I(2K2) = (ab, cd): each colon against the other is the whole other
+    # edge, so neither generator extends a prefix holding the other.
+    pg = power_generators(edge_ideal(two_k2()), 1)
+    tables = _search_tables(pg.exps)
+    assert tables == [(), ()]
+    assert not _extends(tables[0], 1 << 1)
+    assert not _extends(tables[1], 1 << 0)
+    assert _extends(tables[0], 0) and _extends(tables[1], 0)
 
 
 def reference_verify(o):
