@@ -141,25 +141,21 @@ FIG4_SQUARE = [
     (7, 7), (8, 8),
 ]
 
-_BUILTIN_ORDERS: dict[str, tuple[str, int, list[tuple[int, int]]]] = {
-    "istanbul": ("c5", 2, ISTANBUL),
-    "istanbul-alt": ("c5", 2, ISTANBUL_ALT),
-    "fig2": ("fig2", 2, FIG2_SQUARE),
-    "fig4": ("fig4", 2, FIG4_SQUARE),
+_BUILTIN_ORDERS: dict[str, tuple[str, list[tuple[int, int]]]] = {
+    "istanbul": ("c5", ISTANBUL),
+    "istanbul-alt": ("c5", ISTANBUL_ALT),
+    "fig2": ("fig2", FIG2_SQUARE),
+    "fig4": ("fig4", FIG4_SQUARE),
 }
 
 
-def _builtin(name: str) -> tuple[str, int, list[tuple[int, int]]]:
+def builtin_order(name: str, pg: PowerGenerators) -> GeneratorOrdering:
+    """Resolve a built-in order name against the enumerated generators of a square."""
     if name.lower() not in _BUILTIN_ORDERS:
         raise ValueError(f"unknown built-in order {name!r}")
-    return _BUILTIN_ORDERS[name.lower()]
-
-
-def builtin_order(name: str, pg: PowerGenerators) -> GeneratorOrdering:
-    """Resolve a built-in order name against enumerated power generators."""
-    fixture, q, multisets = _builtin(name)
-    if pg.q != q:
-        raise ValueError(f"built-in order {name!r} is for q={q}, got q={pg.q}")
+    fixture, multisets = _BUILTIN_ORDERS[name.lower()]
+    if pg.q != 2:
+        raise ValueError(f"built-in order {name!r} is for q=2, got q={pg.q}")
     if pg.ideal.graph != named_graph(fixture):
         raise ValueError(f"built-in order {name!r} indexes the edge sequence of the {fixture} fixture")
     return ordering_from_multisets(pg, multisets)
@@ -191,7 +187,7 @@ def resolve_order(source: str, g: Graph) -> GeneratorOrdering:
     empty file)."""
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
-        return builtin_order(name, power_generators(edge_ideal(g), _builtin(name)[1]))
+        return builtin_order(name, power_generators(edge_ideal(g), 2))
     p = Path(source)
     if not p.is_file():
         raise ValueError(f"order file {source!r} not found")

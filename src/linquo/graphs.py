@@ -5,7 +5,8 @@ Vertices are dense integers 0..n-1.  Edges are unordered pairs stored as
 ``(u, v)`` with ``u < v``; the input edge sequence is preserved because edge
 ideals downstream key their generators by it.  Optional ``labels`` name the
 vertices for rendering only.  ``Graph.nbrs``, one int bitmask per vertex
-built with the edge sequence, is the one adjacency every reader uses.
+built with the edge sequence, is the one adjacency: every reader uses it,
+the classifiers and the matching number's branch and bound alike.
 
 Each classifier is its definition: gapfree is "no induced 2K2", tested by
 the same induced-pattern search as the cricket, diamond, C4 and C5, and
@@ -215,30 +216,26 @@ def expand_vertex(g: Graph, x: int) -> Graph:
 
 
 def matching_number(g: Graph) -> int:
-    """Maximum number of pairwise disjoint edges, by branch and bound.
-
-    Exact at desk scale (n <= 16); the bound is size + floor(free/2).
-    """
-    edges = g.edges
+    """Maximum number of pairwise disjoint edges, by branch and bound on
+    ``Graph.nbrs``: the lowest free vertex is matched to each free neighbour
+    in turn, then left unmatched.  Exact at desk scale (n <= 16); the bound
+    is size + floor(free/2)."""
+    nb = g.nbrs
     best = 0
-    used: set[int] = set()
 
-    def extend(start: int, size: int) -> None:
+    def extend(free: int, size: int) -> None:
         nonlocal best
-        if size > best:
-            best = size
-        if size + (g.n - len(used)) // 2 <= best:
-            return
-        for j in range(start, len(edges)):
-            u, v = edges[j]
-            if u not in used and v not in used:
-                used.add(u)
-                used.add(v)
-                extend(j + 1, size + 1)
-                used.discard(u)
-                used.discard(v)
+        best = max(best, size)
+        while size + free.bit_count() // 2 > best:
+            low = free & -free
+            free ^= low
+            w = nb[low.bit_length() - 1] & free
+            while w:
+                u = w & -w
+                extend(free ^ u, size + 1)
+                w ^= u
 
-    extend(0, 0)
+    extend((1 << g.n) - 1, 0)
     return best
 
 

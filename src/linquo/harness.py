@@ -125,12 +125,13 @@ def check_theorem64_premises(
 ) -> dict:
     """Verify the bounded tower of compatible orders up to q_through.
 
-    Searches (or accepts) an order on the square and verifies it once, derives
-    the edge order from its pure-power appearance when that order is
-    admissible (the peel construction otherwise), then constructs and
-    verifies the compatible order of every power up to q_through.  The cube
-    lifts the square along the edge order; each later power is the pure-power
-    lift of the one below, which is its compatible order (see ``orderings``).
+    Theorem 6.4 is read with an admissible edge order and a verified square
+    order as its premises.  The square's order is searched (or accepted) and
+    verified once; the edge order is its pure-power order when admissible,
+    else the always admissible peel order.  The compatible order of every
+    power up to q_through is then built and verified: the cube lifts the
+    square along the edge order, each later power is the pure-power lift of
+    the one below, which is its compatible order (see ``orderings``).
     A supplied non-square raises ValueError, a supplied square that fails
     verification OrderingPreconditionError.  When the tower holds through 7,
     all later powers inherit linear quotients; that conclusion is reported

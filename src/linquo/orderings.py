@@ -19,7 +19,7 @@ compatible order of I^(q+1), and a chain of pure-power lifts is one lift.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,13 +46,12 @@ def _lift(
 
 
 def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:
-    """Edge indices in the order their pure powers appear in the ordering."""
+    """Edge indices in the order their pure powers appear in the ordering:
+    each pure power's generator index maps to its edge, and the walk over
+    ``o.sequence`` keeps the indices in that map."""
     pg = o.base
-    pos = [0] * pg.count
-    for k, i in enumerate(o.sequence):
-        pos[i] = k
-    pure = pg.locate(pg.q * pg.ideal.rows)
-    return tuple(sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[j]]))
+    edge_of = dict(zip(pg.locate(pg.q * pg.ideal.rows), range(pg.ideal.nedges)))
+    return tuple(edge_of[i] for i in o.sequence if i in edge_of)
 
 
 def efficient_ordering(o: GeneratorOrdering, target_s: int) -> GeneratorOrdering:
@@ -81,29 +80,31 @@ def admissible_order(g: Graph) -> tuple[int, ...]:
 
 
 def is_admissible(g: Graph, eo: Sequence[int]) -> bool:
-    """Check the disjoint-pair condition of an admissible edge ordering.
+    """Check the disjoint-pair condition of an admissible edge ordering: for
+    every disjoint pair ab > cd, all edges at a, or all edges at b, come
+    before cd.
 
-    For every disjoint pair ab > cd, all edges at a, or all edges at b, must
-    come before cd.
+    One walk checks each edge against those before it.  A vertex is finished
+    once all its edges are walked, and a walked edge is open while neither end
+    is finished.  Placing cd fails exactly when an open edge ab is disjoint
+    from cd: then neither all edges at a nor all edges at b precede cd.
     """
-    s = len(g.edges)
-    if sorted(eo) != list(range(s)):
+    if sorted(eo) != list(range(len(g.edges))):
         raise ValueError("edge ordering must be a permutation of the edges")
-    pos = [0] * s
-    for k, j in enumerate(eo):
-        pos[j] = k
-    incident: list[list[int]] = [[] for _ in range(g.n)]
+    at = [0] * g.n  # bit j of at[v] is set iff v is an end of edge j
     for j, (u, v) in enumerate(g.edges):
-        incident[u].append(j)
-        incident[v].append(j)
-    last_at = [max((pos[j] for j in incident[v]), default=-1) for v in range(g.n)]
-    for j1, j2 in combinations(range(s), 2):
-        e1, e2 = g.edges[eo[j1]], g.edges[eo[j2]]
-        if set(e1) & set(e2):
-            continue
-        a, b = e1
-        if last_at[a] > j2 and last_at[b] > j2:
+        at[u] |= 1 << j
+        at[v] |= 1 << j
+    placed = open_ = 0
+    for j in eo:
+        c, d = g.edges[j]
+        if open_ & ~(at[c] | at[d]):
             return False
+        placed |= 1 << j
+        open_ |= 1 << j
+        for v in (c, d):
+            if not at[v] & ~placed:
+                open_ &= ~at[v]
     return True
 
 

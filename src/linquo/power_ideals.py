@@ -10,9 +10,11 @@ factorization.  ``locate`` maps rows back to indices through one dict keyed
 by the bytes of each int64 row, exact for any vertex count.  The full
 ``factorizations`` and ``multiset_index`` are built on first use.
 
-A power whose edge multisets hold more than ``CAP`` entries, q per multiset,
-is refused before any work: the checker is desk-scale.  ``CAP`` is read at
-each call, so a test may lower it.
+An enumeration of more than ``CAP`` int64 entries is refused before any array
+is filled: the checker is desk-scale.  The ideal of s edges on n vertices
+holds s * n entries, and its power q holds M * (q + n) for its M =
+C(s+q-1, q) edge multisets, q edge indices and an n-wide product row each.
+``CAP`` is read at each call, so a test may lower it.
 """
 
 from __future__ import annotations
@@ -32,15 +34,11 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration would exceed ``CAP``."""
 
 
-def _check_cap(s: int, q: int) -> None:
-    """Refuse, before any work, the power q of an ideal with s edges when its
-    C(s+q-1, q) edge multisets, q entries each, hold more than ``CAP`` entries."""
-    multisets = comb(s + q - 1, q)
-    if q * multisets > CAP:
-        raise CapExceeded(
-            f"{multisets} edge multisets for q={q} over {s} edges "
-            f"({q * multisets} entries) exceed cap {CAP}"
-        )
+def _check_cap(entries: int, what: str) -> None:
+    """Refuse, before any array is filled, an enumeration of more than ``CAP``
+    entries."""
+    if entries > CAP:
+        raise CapExceeded(f"{what} ({entries} entries) exceed cap {CAP}")
 
 
 def row_keys(rows: np.ndarray) -> list[bytes]:
@@ -53,14 +51,15 @@ class EdgeIdeal:
     """Edge ideal of a graph: generator j is the edge ``graph.edges[j]``, with
     endpoints ``ends[j]`` and exponent vector ``rows[j]``."""
 
-    __slots__ = ("graph", "edges", "ends", "rows")
+    __slots__ = ("graph", "ends", "rows")
 
     def __init__(self, graph: Graph):
+        s = len(graph.edges)
+        _check_cap(s * graph.n, f"{s} edges on {graph.n} vertices")
         self.graph = graph
-        self.edges = graph.edges
-        self.ends = np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2)
-        self.rows = np.zeros((len(self.edges), graph.n), dtype=np.int64)
-        self.rows[np.arange(len(self.edges))[:, None], self.ends] = 1
+        self.ends = np.array(graph.edges, dtype=np.int64).reshape(s, 2)
+        self.rows = np.zeros((s, graph.n), dtype=np.int64)
+        self.rows[np.arange(s)[:, None], self.ends] = 1
         self.ends.setflags(write=False)
         self.rows.setflags(write=False)
 
@@ -70,7 +69,7 @@ class EdgeIdeal:
 
     @property
     def nedges(self) -> int:
-        return len(self.edges)
+        return len(self.graph.edges)
 
     def __repr__(self) -> str:
         return f"EdgeIdeal({self.graph!r})"
@@ -121,7 +120,9 @@ class PowerGenerators:
     def __init__(self, ideal: EdgeIdeal, q: int):
         if q < 1:
             raise ValueError("power must be >= 1")
-        _check_cap(ideal.nedges, q)
+        s, n = ideal.nedges, ideal.nvars
+        m = comb(s + q - 1, q)
+        _check_cap(m * (q + n), f"{m} edge multisets for q={q} over {s} edges on {n} vertices")
         steps, keys = _products(ideal, q)
         # key -> position of its first appearance; sorted, the positions are
         # the generators in index order.

@@ -146,6 +146,30 @@ def one_candidate_colon_tables(E, c):
     return wide, units
 
 
+def admissible_by_pairs(g, eo) -> bool:
+    """The oracle of ``orderings.is_admissible``: the disjoint-pair rule read
+    literally.  For every disjoint pair ab before cd, all edge positions at a,
+    or all edge positions at b, must lie before the position of cd."""
+    pos = {j: k for k, j in enumerate(eo)}
+    positions = [[pos[j] for j, e in enumerate(g.edges) if v in e] for v in range(g.n)]
+    for k1, k2 in combinations(range(len(eo)), 2):
+        (a, b), cd = g.edges[eo[k1]], g.edges[eo[k2]]
+        if a in cd or b in cd:
+            continue
+        if not (max(positions[a]) < k2 or max(positions[b]) < k2):
+            return False
+    return True
+
+
+def pure_powers_by_position(o) -> tuple[int, ...]:
+    """The oracle of ``orderings.pure_power_edge_sequence``: every edge, sorted
+    by the position of its pure power in the order."""
+    pg = o.base
+    pos = {i: k for k, i in enumerate(o.sequence)}
+    pure = pg.locate(pg.q * pg.ideal.rows)
+    return tuple(sorted(range(pg.ideal.nedges), key=lambda j: pos[pure[j]]))
+
+
 def _poly_add(a: list[int], b: list[int]) -> list[int]:
     out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and not out[-1]:

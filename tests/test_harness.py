@@ -221,12 +221,12 @@ def test_restriction_needs_an_exhausted_sub_search(monkeypatch):
     assert lq_verdict(two_k2(), 2, budget=3)["by"] == "restriction"
     want = {"verdict": "unknown", "nodes": 2, "reason": "budget of 1 nodes exhausted"}
     assert lq_verdict(two_k2(), 2, budget=1) == want
-    # A cap below the sub-power's 3 multisets of 2 entries: the cap is
-    # reported for I(G)^2.
+    # A cap below the sub-power's 3 multisets of 2 + 4 entries: the cap is
+    # reported for I(G), whose 4 edges on 5 vertices hold 20.
     p5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    monkeypatch.setattr(power_ideals, "CAP", 2)
+    monkeypatch.setattr(power_ideals, "CAP", 17)
     rec = lq_verdict(p5, 2)
-    reason = "10 edge multisets for q=2 over 4 edges (20 entries) exceed cap 2"
+    reason = "4 edges on 5 vertices (20 entries) exceed cap 17"
     assert rec == {"verdict": "unknown", "reason": reason}
 
 
@@ -344,10 +344,11 @@ def test_theorem64_cap_hit_reports_no_failure(monkeypatch):
 
 
 def test_theorem64_cap_hit_above_the_square_is_unknown(monkeypatch, capsys):
-    # I(c5)^q has C(q+4, 4) edge multisets: 4 * 70 = 280 entries at q = 4, 630 at q = 5.
-    monkeypatch.setattr(power_ideals, "CAP", 280)
+    # I(c5)^q has C(q+4, 4) edge multisets of q + 5 entries: 9 * 70 = 630
+    # entries at q = 4, 1,260 at q = 5.
+    monkeypatch.setattr(power_ideals, "CAP", 630)
     report = check_theorem64_premises(c5())
-    reason = "126 edge multisets for q=5 over 5 edges (630 entries) exceed cap 280"
+    reason = "126 edge multisets for q=5 over 5 edges on 5 vertices (1260 entries) exceed cap 630"
     assert report["computed"][5] == {"verdict": "unknown", "reason": reason}
     assert list(report["computed"]) == [2, 3, 4, 5]
     assert report["holds_through"] == 4

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -31,7 +31,7 @@ from linquo.orderings import (
 )
 from linquo.power_ideals import edge_ideal, power_generators
 
-from helpers import eager_power, from_vars
+from helpers import admissible_by_pairs, eager_power, from_vars, pure_powers_by_position
 
 
 def ordering(g, q, multisets):
@@ -136,6 +136,24 @@ def test_is_admissible_examples():
     assert not is_admissible(c5(), (0, 2, 1, 3, 4))
     with pytest.raises(ValueError):
         is_admissible(c5(), (0, 1))
+
+
+def test_is_admissible_is_the_disjoint_pair_rule():
+    # Random graphs on up to 8 vertices with shuffled edge orders, about two
+    # fifths of them inadmissible, against the rule read pair by pair.
+    rng = random.Random(53)
+    bad = 0
+    for _ in range(4000):
+        n = rng.randint(1, 8)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        eo = rng.sample(range(len(g.edges)), len(g.edges))
+        assert is_admissible(g, eo) == admissible_by_pairs(g, eo), (g, eo)
+        bad += not admissible_by_pairs(g, eo)
+    assert 1000 < bad < 2000
+    # every edge order of the pentagon: half of them are admissible
+    verdicts = [is_admissible(c5(), eo) for eo in permutations(range(5))]
+    assert verdicts == [admissible_by_pairs(c5(), eo) for eo in permutations(range(5))]
+    assert sum(verdicts) == 60
 
 
 def test_compatible_orders_base_case_and_validation():
@@ -285,6 +303,12 @@ def test_lift_keys_are_exact_past_64_vertices():
     assert o4.sequence == reference_lift(o2, eo, 4)
     facs = eager_power(g, 4)[1]
     assert o4.multisets() == [list(min(facs[i])) for i in o4.sequence]
+
+
+def test_pure_power_edge_sequence_is_the_sort_by_position():
+    for g, eo, o2 in _lemma_cases():
+        for o in (o2, compatible_orders(g, eo, o2, 3)):
+            assert pure_power_edge_sequence(o) == pure_powers_by_position(o)
 
 
 def test_pure_power_lift_of_a_compatible_order_is_the_next_one():

@@ -19,7 +19,7 @@ from helpers import eager_power
 
 def test_edge_ideal_generators():
     ei = edge_ideal(c5())
-    assert ei.edges == ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    assert ei.ends.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
     # the first power's generators are the edges, one row each, in edge order
     assert power_generators(ei, 1).exps.tolist() == [
         [1, 1, 0, 0, 0],
@@ -145,12 +145,28 @@ def test_cap_bounds_entries_not_just_multisets(monkeypatch):
         power_generators(two_k2, 10**6)
     with pytest.raises(CapExceeded):
         power_generators(edge_ideal(Graph(2, [(0, 1)])), 10**8)
-    # the limit itself: q * C(s + q - 1, q) entries may equal the cap
-    monkeypatch.setattr(power_ideals, "CAP", 12)
+    # the limit itself: the C(s + q - 1, q) multisets, with q edge indices
+    # and an n-wide product row each, may hold as many entries as the cap
+    monkeypatch.setattr(power_ideals, "CAP", 28)
     assert power_generators(two_k2, 3).count == 4
-    monkeypatch.setattr(power_ideals, "CAP", 11)
+    monkeypatch.setattr(power_ideals, "CAP", 27)
     with pytest.raises(CapExceeded):
         power_generators(two_k2, 3)
+
+
+def test_cap_counts_the_vertices(monkeypatch):
+    # A path on 1,000 vertices at q = 1 has 999 multisets of one entry, but
+    # its ideal alone is a 999 x 1,000 matrix: refused before it is filled.
+    path = Graph(1000, [(v, v + 1) for v in range(999)])
+    monkeypatch.setattr(power_ideals, "CAP", 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"999 edges on 1000 vertices \(999000 entries\)"):
+            power_generators(edge_ideal(path), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_cap_is_checked_before_the_lift(monkeypatch):
