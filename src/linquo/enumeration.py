@@ -16,7 +16,8 @@ import numpy as np
 
 from .graphs import Graph
 
-# n = 8 would need the tables on 7 vertices: 5,040 x 1,044 images over 2^21 masks.
+# n = 8 builds: 12,346 classes, ascending, in 0.3-0.4 s at 161 MB max RSS (2-core
+# x86, Python 3.11).  The limit stays until n = 8 has checks of its own (brute-force minima).
 MAX_ENUM_N = 7
 
 

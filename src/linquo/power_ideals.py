@@ -2,25 +2,33 @@
 
 For an equigenerated ideal the distinct products of q edges are exactly the
 minimal generators of the q-th power (equal degree 2q, so none divides
-another).  ``PowerGenerators`` stores them as ``exps``, an r x n int64 matrix
-built in one vectorized pass over the size-q edge multisets.  Generator i is
-the i-th distinct product in ``combinations_with_replacement`` order, and
-``least[i]``, the multiset where it first appears, is its least
+another).  ``PowerGenerators`` stores them as ``exps``, an r x n int64 matrix.
+Generator i is the i-th distinct product in ``combinations_with_replacement``
+order, and ``least[i]``, the multiset where it first appears, is its least
 factorization.  ``locate`` maps rows back to indices through one dict keyed
 by the bytes of each int64 row, exact for any vertex count.  The full
 ``factorizations`` and ``multiset_index`` are built on first use.
 
+Each power is built from the one below.  If (j, ...) is the least
+factorization of u, its tail is the least one of u / e_j, since a tail with
+an edge below j would give u a smaller first edge.  So the products of each
+generator p of I^k with each edge j <= lead[p], the first edge of least[p],
+taken in the order of (j,) + least[p], hold every generator of I^(k+1), each
+first at its least factorization; their first appearances are numbered as
+above.
+
 An enumeration of more than ``CAP`` int64 entries is refused before any array
 is filled: the checker is desk-scale.  The ideal of s edges on n vertices
-holds s * n entries, and its power q holds M * (q + n) for its M =
-C(s+q-1, q) edge multisets, q edge indices and an n-wide product row each.
-``CAP`` is read at each call, so a test may lower it.
+holds s * n entries, and its power q is counted as M * (q + n) for its M =
+C(s+q-1, q) edge multisets.  A level forms at most M products, one per
+multiset whose tail is a least factorization, and ``least`` holds M * q
+entries at most.  ``CAP`` is read at each call, so a test may lower it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from math import comb
 
 import numpy as np
@@ -49,18 +57,16 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
 
 class EdgeIdeal:
     """Edge ideal of a graph: generator j is the edge ``graph.edges[j]``, with
-    endpoints ``ends[j]`` and exponent vector ``rows[j]``."""
+    exponent vector ``rows[j]``."""
 
-    __slots__ = ("graph", "ends", "rows")
+    __slots__ = ("graph", "rows")
 
     def __init__(self, graph: Graph):
         s = len(graph.edges)
         _check_cap(s * graph.n, f"{s} edges on {graph.n} vertices")
         self.graph = graph
-        self.ends = np.array(graph.edges, dtype=np.int64).reshape(s, 2)
         self.rows = np.zeros((s, graph.n), dtype=np.int64)
-        self.rows[np.arange(s)[:, None], self.ends] = 1
-        self.ends.setflags(write=False)
+        self.rows[np.arange(s)[:, None], np.array(graph.edges, dtype=np.int64).reshape(s, 2)] = 1
         self.rows.setflags(write=False)
 
     @property
@@ -80,36 +86,21 @@ def edge_ideal(g: Graph) -> EdgeIdeal:
     return EdgeIdeal(g)
 
 
-def _products(ideal: EdgeIdeal, q: int) -> tuple[list, list[bytes]]:
-    """The size-q edge multisets in ``combinations_with_replacement`` order
-    and the ``row_keys`` of their products.  Step k appends to each multiset
-    of size k - 1 each edge from its last one on; ``steps[k - 1]`` holds, per
-    multiset of size k, its last edge and the index of its prefix."""
-    s = ideal.nedges
-    last = np.arange(s)
-    steps = [(last, last)]  # a single edge's prefix index is never read
-    prod = ideal.rows.copy()
-    for _ in range(1, q if s else 1):
-        counts = s - last
-        starts = counts.cumsum() - counts
-        prefix = np.arange(len(last)).repeat(counts)
-        i = np.arange(len(prefix))
-        last = i - (starts - last)[prefix]
-        steps.append((last, prefix))
-        prod = prod[prefix]
-        # The two ends of an edge differ, so no (row, column) pair repeats.
-        prod[i.repeat(2), ideal.ends[last].ravel()] += 1
-    return steps, row_keys(prod)
-
-
-def _multisets(steps: list, at: np.ndarray) -> np.ndarray:
-    """The multisets of size len(steps) at the indices ``at``, as rows."""
-    out = np.empty((len(at), len(steps)), dtype=np.int64)
-    for k in range(len(steps) - 1, -1, -1):
-        last, prefix = steps[k]
-        out[:, k] = last[at]
-        at = prefix[at]
-    return out
+def _next_level(edge_rows: np.ndarray, exps: np.ndarray, lead: np.ndarray):
+    """The rows of I^(k+1) in order of their least factorizations (j,) + least[p],
+    with each one's j and p, from the rows ``exps`` of I^k.  ``lead[p]``, the
+    first edge of least[p], ascends, so edge j multiplies the last rows, lead[p] >= j."""
+    edges = np.arange(len(edge_rows))
+    counts = len(exps) - np.searchsorted(lead, edges)
+    j = edges.repeat(counts)
+    p = np.arange(len(j)) - (counts.cumsum() - len(exps))[j]
+    prod = exps[p] + edge_rows[j]
+    # (j, p) is factorization order, which the stable sort keeps among equal rows
+    by_row = np.lexsort(prod.T)
+    ranked = prod[by_row]
+    first = np.empty(len(j), dtype=bool)
+    first[by_row] = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(1)))
+    return prod[first], j[first], p[first]
 
 
 class PowerGenerators:
@@ -123,16 +114,20 @@ class PowerGenerators:
         s, n = ideal.nedges, ideal.nvars
         m = comb(s + q - 1, q)
         _check_cap(m * (q + n), f"{m} edge multisets for q={q} over {s} edges on {n} vertices")
-        steps, keys = _products(ideal, q)
-        # key -> position of its first appearance; sorted, the positions are
-        # the generators in index order.
-        first = sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values())
-        gens = list(map(keys.__getitem__, first))
-        self.ideal, self.q = ideal, q
-        self.exps = np.frombuffer(b"".join(gens), dtype=np.int64).reshape(len(gens), ideal.nvars)
-        self.least = _multisets(steps, np.array(first, dtype=np.int64))
-        self.least.setflags(write=False)
-        self._at = dict(zip(gens, range(len(gens))))
+        edge_rows = ideal.rows.astype(np.min_scalar_type(q))
+        exps, lead = edge_rows, np.arange(s)
+        levels = [(lead, lead)]  # an edge's parent is never read
+        for _ in range(1, q if s else 1):
+            exps, lead, parent = _next_level(edge_rows, exps, lead)
+            levels.append((lead, parent))
+        # least[i] = (lead, then the least factorization of the parent)
+        self.least, at = np.empty((len(exps), q), dtype=np.int64), np.arange(len(exps))
+        for k, (lead, parent) in enumerate(reversed(levels)):
+            self.least[:, k], at = lead[at], parent[at]
+        self.ideal, self.q, self.exps = ideal, q, exps.astype(np.int64)
+        for a in (self.exps, self.least):
+            a.setflags(write=False)
+        self._at = dict(zip(row_keys(self.exps), range(len(exps))))
 
     @property
     def count(self) -> int:
@@ -148,10 +143,13 @@ class PowerGenerators:
     def factorizations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``factorizations[i]``: the edge multisets that multiply out to
         generator i, in enumeration order; built on first use."""
-        steps, keys = _products(self.ideal, self.q)
+        multisets = list(combinations_with_replacement(range(self.ideal.nedges), self.q))
+        prod = np.zeros((len(multisets), self.ideal.nvars), dtype=np.int64)
+        for column in zip(*multisets):  # one edge of each multiset at a time
+            prod += self.ideal.rows.take(column, 0)
         facs: list[list[tuple[int, ...]]] = [[] for _ in range(self.count)]
-        for m, key in zip(_multisets(steps, np.arange(len(keys))).tolist(), keys):
-            facs[self._at[key]].append(tuple(m))
+        for m, key in zip(multisets, row_keys(prod)):
+            facs[self._at[key]].append(m)
         return tuple(map(tuple, facs))
 
     @cached_property

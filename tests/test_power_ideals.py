@@ -19,7 +19,6 @@ from helpers import eager_power
 
 def test_edge_ideal_generators():
     ei = edge_ideal(c5())
-    assert ei.ends.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]
     # the first power's generators are the edges, one row each, in edge order
     assert power_generators(ei, 1).exps.tolist() == [
         [1, 1, 0, 0, 0],
@@ -216,6 +215,32 @@ def test_generators_match_the_eager_enumeration_on_the_fixtures():
             assert_matches_eager(named_graph(name), q)
     # 276 edges: edge indices past 255, which a one-byte multiset entry cannot hold
     assert_matches_eager(Graph(24, list(combinations(range(24), 2))), 2)
+    # K6 at q = 3: 680 multisets for 336 generators
+    assert_matches_eager(Graph(6, list(combinations(range(6), 2))), 3)
+
+
+def test_complete_graph_powers_are_the_monomials_with_exponents_at_most_q():
+    # I(K_n)^q is generated by the monomials of degree 2q with every exponent
+    # at most q.  On K_n the level step skips the largest share of products.
+    for n in range(2, 8):
+        g = Graph(n, list(combinations(range(n), 2)))
+        for q in range(1, 5):
+            rows = [tuple(row) for row in power_generators(edge_ideal(g), q).exps.tolist()]
+            want = {m for m in _monomials(n, 2 * q) if max(m) <= q}
+            assert len(rows) == len(want) and set(rows) == want
+
+
+def test_power_build_memory():
+    # I(gamma7)^7: 8,142 generators, built level by level in one-byte rows
+    ei = edge_ideal(named_graph("gamma7"))
+    tracemalloc.start()
+    try:
+        pg = power_generators(ei, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pg.count == 8142
+    assert peak < 3_000_000
 
 
 def test_factorizations_are_built_on_first_use():
