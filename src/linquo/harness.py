@@ -105,6 +105,8 @@ def lq_verdict(g: Graph, q: int, budget: int = DEFAULT_BUDGET) -> dict:
 
 def scan_small_graphs(n: int, q_max: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Classify and search one graph per isomorphism class on n vertices."""
+    if q_max < 1:
+        raise ValueError("power must be >= 1")
     return [
         {
             "edges": [list(e) for e in g.edges],

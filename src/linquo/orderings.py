@@ -5,10 +5,12 @@ from an admissible edge order plus a square order.
 Both recursive constructions end in one lift routine, ``_lift``: given an
 order u_1 > ... > u_r of the generators of I^q and an edge sequence
 f_1, ..., f_s, the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 >
-... > u_r f_s with a product omitted when it already appeared.  A step adds
-each edge row to the current rows and keeps first appearances, keyed by the
-bytes of each row; the final rows are mapped to generator indices with
-``PowerGenerators.locate``.  The constructions differ only in where the edge
+... > u_r f_s with a product omitted when it already appeared.  Each step is
+``power_ideals.next_level`` along the sequence.  It skips f_a u when an edge f
+of a factorization of u precedes f_a, since f_a u = f (f_a u / f) came first:
+f is the earliest edge of u's least factorization in the first step, and the
+edge that formed u in each later one.  ``PowerGenerators.locate`` maps the
+rows to generator indices.  The constructions differ only in where the edge
 sequence comes from.  They only build; the caller verifies.
 
 For q >= 3 a lifted order puts the pure power e_j^q in e_j's block: only
@@ -19,14 +21,13 @@ compatible order of I^(q+1), and a chain of pure-power lifts is one lift.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph
 from .linquot import GeneratorOrdering, OrderingPreconditionError
-from .power_ideals import power_generators, row_keys
+from .power_ideals import next_level, power_generators
 
 
 def _lift(
@@ -36,12 +37,13 @@ def _lift(
     indices ``edges``."""
     ideal = o.base.ideal
     pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
-    rows = o.exps()
-    erows = ideal.rows[list(edges)]
+    erows = ideal.rows[list(edges)].astype(np.min_scalar_type(target_q))
+    rows = o.exps().astype(erows.dtype)
+    pos = np.full(ideal.nedges, len(edges))  # an edge off the sequence bounds nothing
+    pos[list(edges)] = np.arange(len(edges))
+    lead = pos[o.base.least[list(o.sequence)]].min(1)
     for _ in range(o.base.q, target_q):
-        # One dict per step, fed one edge block of keys at a time.
-        keys = dict.fromkeys(chain.from_iterable(row_keys(rows + e) for e in erows))
-        rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(len(keys), ideal.nvars)
+        rows, lead, _ = next_level(erows, rows, lead)
     return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 
 

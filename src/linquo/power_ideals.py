@@ -14,8 +14,8 @@ factorization of u, its tail is the least one of u / e_j, since a tail with
 an edge below j would give u a smaller first edge.  So the products of each
 generator p of I^k with each edge j <= lead[p], the first edge of least[p],
 taken in the order of (j,) + least[p], hold every generator of I^(k+1), each
-first at its least factorization; their first appearances are numbered as
-above.
+first at its least factorization.  ``next_level`` numbers their first
+appearances, and the lift in ``orderings`` runs it along an edge sequence.
 
 An enumeration of more than ``CAP`` int64 entries is refused before any array
 is filled: the checker is desk-scale.  The ideal of s edges on n vertices
@@ -86,14 +86,10 @@ def edge_ideal(g: Graph) -> EdgeIdeal:
     return EdgeIdeal(g)
 
 
-def _next_level(edge_rows: np.ndarray, exps: np.ndarray, lead: np.ndarray):
-    """The rows of I^(k+1) in order of their least factorizations (j,) + least[p],
-    with each one's j and p, from the rows ``exps`` of I^k.  ``lead[p]``, the
-    first edge of least[p], ascends, so edge j multiplies the last rows, lead[p] >= j."""
-    edges = np.arange(len(edge_rows))
-    counts = len(exps) - np.searchsorted(lead, edges)
-    j = edges.repeat(counts)
-    p = np.arange(len(j)) - (counts.cumsum() - len(exps))[j]
+def next_level(edge_rows: np.ndarray, exps: np.ndarray, lead: np.ndarray):
+    """The first appearances among the products exps[p] + edge_rows[j] with
+    j <= lead[p], taken in (j, p) order, with each one's j and p."""
+    j, p = np.nonzero(np.arange(len(edge_rows))[:, None] <= lead)
     prod = exps[p] + edge_rows[j]
     # (j, p) is factorization order, which the stable sort keeps among equal rows
     by_row = np.lexsort(prod.T)
@@ -118,7 +114,7 @@ class PowerGenerators:
         exps, lead = edge_rows, np.arange(s)
         levels = [(lead, lead)]  # an edge's parent is never read
         for _ in range(1, q if s else 1):
-            exps, lead, parent = _next_level(edge_rows, exps, lead)
+            exps, lead, parent = next_level(edge_rows, exps, lead)
             levels.append((lead, parent))
         # least[i] = (lead, then the least factorization of the parent)
         self.least, at = np.empty((len(exps), q), dtype=np.int64), np.arange(len(exps))

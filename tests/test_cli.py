@@ -47,6 +47,7 @@ Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the tes
         (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "200"], BUDGET),
         (["find-order", "--graph", "2k2", "--q", "1000000"], BUDGET),
         (["scan", "--n", "8"], USAGE),
+        (["scan", "--n", "3", "--q-max", "0"], USAGE),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from linquo.enumeration import nonisomorphic_graphs
 from linquo.fixtures import (
     FIG2_SQUARE,
     FIG4_SQUARE,
@@ -289,20 +290,36 @@ def _lemma_cases():
                     break
 
 
+def _shuffled_square(g, rng):
+    pg2 = power_generators(edge_ideal(g), 2)
+    seq = list(range(pg2.count))
+    rng.shuffle(seq)
+    return GeneratorOrdering(pg2, tuple(seq))
+
+
 def test_lift_keys_are_exact_past_64_vertices():
     # Rows of a graph on 70 vertices: a mixed-radix int64 key would need
     # (q + 2)^70 > 2^63 values, so only exact keys lift it correctly.
     rng = random.Random(43)
     g = Graph(70, [tuple(rng.sample(range(70), 2)) for _ in range(9)] + [(0, 69)])
-    pg2 = power_generators(edge_ideal(g), 2)
-    seq = list(range(pg2.count))
-    rng.shuffle(seq)
-    o2 = GeneratorOrdering(pg2, tuple(seq))
+    o2 = _shuffled_square(g, rng)
     eo = pure_power_edge_sequence(o2)
     o4 = efficient_ordering(o2, 4)
     assert o4.sequence == reference_lift(o2, eo, 4)
     facs = eager_power(g, 4)[1]
     assert o4.multisets() == [list(min(facs[i])) for i in o4.sequence]
+    # Shuffled squares of every class with edges on <= 5 vertices: the lift's
+    # first step bounds each row by the earliest edge of its least
+    # factorization in the sequence, which mostly does not ascend here.
+    unsorted = 0
+    for g in (g for n in range(2, 6) for g in nonisomorphic_graphs(n) if g.edges):
+        o2 = _shuffled_square(g, rng)
+        eo = pure_power_edge_sequence(o2)
+        pos = {e: a for a, e in enumerate(eo)}
+        lead = [min(map(pos.get, ms)) for ms in o2.multisets()]
+        unsorted += lead != sorted(lead)
+        assert efficient_ordering(o2, 5).sequence == reference_lift(o2, eo, 5)
+    assert unsorted > 30
 
 
 def test_pure_power_edge_sequence_is_the_sort_by_position():

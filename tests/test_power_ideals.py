@@ -243,6 +243,19 @@ def test_power_build_memory():
     assert peak < 3_000_000
 
 
+def test_lift_memory():
+    # I(C5)^16 lifted from the square in 14 level steps: 4,845 generators
+    ist = ordering_from_multisets(power_generators(edge_ideal(c5()), 2), ISTANBUL)
+    tracemalloc.start()
+    try:
+        o = efficient_ordering(ist, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(o) == 4845
+    assert peak < 2_600_000
+
+
 def test_factorizations_are_built_on_first_use():
     # Orders are resolved, lifted, written and transported from least and
     # locate alone; the factorizations wait for a caller that reads them.
