@@ -40,7 +40,7 @@ from .linquot import (
     require_verified,
     verify_linear_quotients,
 )
-from .orderings import auto_edge_order, compatible_orders, efficient_ordering
+from .orderings import auto_edge_order, compatible_orders, efficient_ordering, require_square
 from .power_ideals import CapExceeded, edge_ideal, power_generators
 
 def classify_graph(g: Graph) -> dict:
@@ -134,11 +134,12 @@ def check_theorem64_premises(
     power up to q_through is then built and verified: the cube lifts the
     square along the edge order, each later power is the pure-power lift of
     the one below, which is its compatible order (see ``orderings``).
-    A supplied non-square raises ValueError, a supplied square that fails
-    verification OrderingPreconditionError.  When the tower holds through 7,
-    all later powers inherit linear quotients; that conclusion is reported
-    under ``implied``, separate from what was computed.  ``q_through`` below 2
-    raises ValueError: the tower starts at the square.
+    A supplied order not of I(g)^2 raises ValueError (``require_square``), a
+    supplied square that fails verification OrderingPreconditionError.  When
+    the tower holds through 7, all later powers inherit linear quotients;
+    that conclusion is reported under ``implied``, separate from what was
+    computed.  ``q_through`` below 2 raises ValueError: the tower starts at
+    the square.
     """
     if q_through < 2:
         raise ValueError(f"q_through must be at least 2, got {q_through}")
@@ -151,9 +152,8 @@ def check_theorem64_premises(
                 report["first_failure_q"] = 2
             report["holds_through"] = report["implied"] = None
             return report
-    elif o2.base.q != 2:
-        raise ValueError("the base order must order the generators of the square")
     else:
+        require_square(g, o2)
         require_verified(o2, "check_theorem64_premises")
     report["computed"][2] = {"verdict": "yes", "count": len(o2)}
     eo, report["edge_order_source"] = auto_edge_order(g, o2)

@@ -395,8 +395,6 @@ def duplication_order(o: GeneratorOrdering, x: int) -> GeneratorOrdering:
     """
     pg = o.base
     g = pg.ideal.graph
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
     pg_x = power_generators(EdgeIdeal(duplicate_vertex(g, x)), pg.q)
     seq = tuple(pg_x.locate(_duplicated_rows(o, x)))
     return GeneratorOrdering(pg_x, seq, "duplication")
@@ -417,8 +415,6 @@ def expansion_order(
     """
     pg = o.base
     g = pg.ideal.graph
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
     gexp = expand_vertex(g, x)
     if not is_gapfree(gexp):
         raise NotGapfree(

@@ -11,7 +11,10 @@ of a factorization of u precedes f_a, since f_a u = f (f_a u / f) came first:
 f is the earliest edge of u's least factorization in the first step, and the
 edge that formed u in each later one.  ``PowerGenerators.locate`` maps the
 rows to generator indices.  The constructions differ only in where the edge
-sequence comes from.  They only build; the caller verifies.
+sequence comes from: the pure powers in order, read off ``least``, or an
+admissible edge order.  They only build; the caller verifies.  Each check has
+one owner: ``_lift`` the target power against the base power,
+``require_square`` the square order and ``is_admissible`` the edge order.
 
 For q >= 3 a lifted order puts the pure power e_j^q in e_j's block: only
 e_j^(q-1) e_j multiplies out to it.  Its pure powers thus appear in the edge
@@ -33,13 +36,18 @@ from .power_ideals import next_level, power_generators
 def _lift(
     o: GeneratorOrdering, edges: Sequence[int], target_q: int, provenance: str
 ) -> GeneratorOrdering:
-    """Multiply the order ``o`` up to the power ``target_q`` along the edge
-    indices ``edges``."""
+    """Multiply the order ``o`` up to the power ``target_q`` along ``edges``, a
+    permutation of the edge indices.  A target below the base power raises
+    ValueError, and the base power returns ``o`` itself."""
+    if target_q < o.base.q:
+        raise ValueError(f"target power {target_q} below base power {o.base.q}")
+    if target_q == o.base.q:
+        return o
     ideal = o.base.ideal
     pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
     erows = ideal.rows[list(edges)].astype(np.min_scalar_type(target_q))
     rows = o.exps().astype(erows.dtype)
-    pos = np.full(ideal.nedges, len(edges))  # an edge off the sequence bounds nothing
+    pos = np.empty(len(edges), dtype=np.int64)  # each edge's position in the sequence
     pos[list(edges)] = np.arange(len(edges))
     lead = pos[o.base.least[list(o.sequence)]].min(1)
     for _ in range(o.base.q, target_q):
@@ -48,25 +56,18 @@ def _lift(
 
 
 def pure_power_edge_sequence(o: GeneratorOrdering) -> tuple[int, ...]:
-    """Edge indices in the order their pure powers appear in the ordering:
-    each pure power's generator index maps to its edge, and the walk over
-    ``o.sequence`` keeps the indices in that map."""
-    pg = o.base
-    edge_of = dict(zip(pg.locate(pg.q * pg.ideal.rows), range(pg.ideal.nedges)))
-    return tuple(edge_of[i] for i in o.sequence if i in edge_of)
+    """Edge indices in the order their pure powers appear in ``o``: e_j^q has
+    no factorization but (j, ..., j), so its least one starts and ends on j."""
+    least = o.base.least[list(o.sequence)]
+    return tuple(least[least[:, 0] == least[:, -1], 0].tolist())
 
 
 def efficient_ordering(o: GeneratorOrdering, target_s: int) -> GeneratorOrdering:
     """Recursive pure-power construction from a base order of I^q up to I^s.
 
     The edge sequence is read off the appearance order of the pure powers in
-    the base order.  target_s == q returns the base order unchanged.
+    the base order; ``_lift`` owns the rule on ``target_s`` against q.
     """
-    pg = o.base
-    if target_s < pg.q:
-        raise ValueError(f"target power {target_s} below base power {pg.q}")
-    if target_s == pg.q:
-        return o
     return _lift(o, pure_power_edge_sequence(o), target_s, "efficient")
 
 
@@ -122,26 +123,28 @@ def auto_edge_order(g: Graph, o2: GeneratorOrdering) -> tuple[tuple[int, ...], s
     return admissible_order(g), "peel"
 
 
+def require_square(g: Graph, o2: GeneratorOrdering) -> None:
+    """Raise ValueError unless ``o2`` orders the generators of I(g)^2, on g's
+    edge sequence."""
+    if o2.base.ideal.graph != g:
+        raise ValueError("square order belongs to another graph or edge sequence")
+    if o2.base.q != 2:
+        raise ValueError("the base order must order the generators of the square")
+
+
 def compatible_orders(
     g: Graph, eo: Sequence[int], o2: GeneratorOrdering, target_q: int
 ) -> GeneratorOrdering:
     """Build the compatible order for I^target_q from (edge order, square order).
 
-    The caller verifies the square order and the result; the edge order must
-    be admissible.  The recursion multiplies block-by-block along the edge
-    order with first-appearance dedup.  target_q == 2 returns the square.
+    ``require_square`` checks the square order, ``is_admissible`` the edge
+    order and ``_lift`` the target power; the caller verifies the square and
+    the result.  The recursion multiplies block-by-block along the edge order
+    with first-appearance dedup.  target_q == 2 returns the square.
     """
-    pg2 = o2.base
-    if pg2.ideal.graph != g:
-        raise ValueError("square order belongs to another graph or edge sequence")
-    if pg2.q != 2:
-        raise ValueError("the base order must order the generators of the square")
-    if target_q < 2:
-        raise ValueError("target power must be >= 2")
+    require_square(g, o2)
     if not is_admissible(g, eo):
         raise OrderingPreconditionError(
             "compatible_orders: the edge ordering is not admissible"
         )
-    if target_q == 2:
-        return o2
     return _lift(o2, eo, target_q, "compatible")

@@ -13,6 +13,8 @@ from helpers import count_verifier_calls
 
 PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
 Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the test
+BAD = "<bad.order>"  # stands for an order file whose line 2 is not edge indices
+MISSING = "<missing.order>"  # stands for a path with no file
 
 
 @pytest.mark.parametrize(
@@ -26,6 +28,8 @@ Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the tes
         (["admissible-order", "--graph", "c5"], PASS),
         (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "3"], PASS),
         (["duplicate", "--graph", "fig2", "--vertex", "x"], PASS),
+        (["duplicate", "--graph", "c5", "--vertex", "2"], PASS),
+        (["duplicate", "--graph", "c5", "--vertex", "9"], USAGE),
         (["duplicate", "--graph", "fig4", "--vertex", "z", "--order", "builtin:fig4"], PASS),
         (["expand", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"], PASS),
         (["expand", "--graph", "c5", "--vertex", "a", "--order", "builtin:istanbul"], FAIL),
@@ -38,10 +42,13 @@ Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the tes
         (["thm64", "--graph", "c5", "--q-through", "1"], USAGE),
         (["repro", "istanbul"], PASS),
         (["classify", "--graph", "no-such-fixture"], USAGE),
+        (["verify", "--graph", "c5", "--order", BAD], USAGE),
+        (["verify", "--graph", "c5", "--order", MISSING], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
         (["powers", "--graph", "2k2", "--q", "1000000"], BUDGET),
         (["verify", "--graph", "c5", "--order", Q2000], BUDGET),
         (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "1000000"], BUDGET),
+        (["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "1"], USAGE),
         (["duplicate", "--graph", "fig4", "--vertex", "z", "--order", Q2000], BUDGET),
         (["expand", "--graph", "fig2", "--vertex", "x", "--order", Q2000], BUDGET),
         (["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "200"], BUDGET),
@@ -54,7 +61,11 @@ Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the tes
 def test_exit_codes(argv, code, tmp_path, capsys):
     # One multiset of 2,000 edges: the order is of I^2000, over the cap.
     (tmp_path / "q2000.order").write_text(" ".join(["0"] * 2000) + "\n")
-    assert cli.main([str(tmp_path / "q2000.order") if a == Q2000 else a for a in argv]) == code
+    (tmp_path / "bad.order").write_text("0 0\n0 x\n")
+    paths = {Q2000: "q2000.order", BAD: "bad.order", MISSING: "missing.order"}
+    assert cli.main([str(tmp_path / paths[a]) if a in paths else a for a in argv]) == code
+    if BAD in argv:
+        assert "line 2: expected edge indices, got '0 x'" in capsys.readouterr().err
 
 
 def test_verify_fails_a_reversed_order_file(tmp_path, capsys):

@@ -306,6 +306,16 @@ def test_check_theorem64_premises_rejects_a_failing_supplied_square():
             check_theorem64_premises(c5(), q_through=q_through, o2=failing)
 
 
+def test_check_theorem64_premises_rejects_a_square_of_another_graph():
+    # The istanbul square orders I(c5)^2; g has five edges too, but it is not
+    # c5, so the tower refuses the square even when it stops at the square.
+    ist = fixtures.builtin_order("istanbul", power_generators(edge_ideal(c5()), 2))
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    for q_through in (2, 3):
+        with pytest.raises(ValueError, match="^square order belongs to another graph or edge sequence$"):
+            check_theorem64_premises(g, q_through=q_through, o2=ist)
+
+
 def test_check_theorem64_premises_gap_graph():
     report = check_theorem64_premises(two_k2(), q_through=7)
     assert report["first_failure_q"] == 2

@@ -110,9 +110,13 @@ def test_sequence_must_be_permutation(monkeypatch):
         ordering_from_multisets(pg, [(0,), (0,)])
     with pytest.raises(ValueError):
         ordering_from_multisets(pg, [(0, 1)])
+    with pytest.raises(ValueError, match="not a factorization of any generator"):
+        ordering_from_multisets(power_generators(edge_ideal(two_k2()), 2), [(0, 99)])
     # The constructions leave the check to GeneratorOrdering: a locate that
     # repeats one index (and so drops another), or that loses a row (-1), fails
-    # each of them.
+    # each of them.  The pure-power edge sequence is read off ``least``, not
+    # through locate, so efficient_ordering still lifts along all five edges
+    # and only the lift's own locate is at fault.
     ist = ordering(c5(), 2, ISTANBUL)
     sq = ordering(fig2(), 2, FIG2_SQUARE)
     locate = PowerGenerators.locate
@@ -128,6 +132,7 @@ def test_sequence_must_be_permutation(monkeypatch):
         return seq
 
     monkeypatch.setattr(PowerGenerators, "locate", repeating)
+    assert sorted(pure_power_edge_sequence(ist)) == [0, 1, 2, 3, 4]
     for build in (
         lambda: ordering_from_multisets(ist.base, ISTANBUL),
         lambda: efficient_ordering(ist, 3),
@@ -317,8 +322,10 @@ def test_expansion_gate_rejects_dependent_exterior():
     ist = ordering(c5(), 2, ISTANBUL)
     with pytest.raises(NotGapfree):
         expansion_order(ist, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        expansion_order(ist, 5)
+    for x in (5, -1):
+        for transport in (expansion_order, duplication_order):
+            with pytest.raises(ValueError, match="out of range"):
+                transport(ist, x)
 
 
 def test_expansion_gate_is_the_gapfree_test_on_the_expansion():

@@ -37,6 +37,8 @@ def test_power_counts():
     assert power_generators(edge_ideal(fig4()), 2).count == 42
     for q in range(1, 7):
         assert power_generators(edge_ideal(c5()), q).count == comb(q + 4, 4)
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        power_generators(edge_ideal(c5()), 0)
 
 
 def test_fig2_coincidences():
