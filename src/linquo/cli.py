@@ -134,15 +134,11 @@ def _emit(text: str, path: str | None) -> None:
 
 def _vertex(g, token: str) -> int:
     if token.isdigit():
-        v = int(token)
-    else:
-        names = g.vertex_names()
-        if token not in names:
-            raise ValueError(f"unknown vertex {token!r} (labels: {', '.join(names)})")
-        v = names.index(token)
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return v
+        return int(token)
+    names = g.vertex_names()
+    if token not in names:
+        raise ValueError(f"unknown vertex {token!r} (labels: {', '.join(names)})")
+    return names.index(token)
 
 
 def _witness_json(report, names) -> dict | None:
@@ -265,9 +261,10 @@ def _cmd_transport(args) -> int:
     g = fixtures.resolve_graph(args.graph)
     x = _vertex(g, args.vertex)
     expand = args.command == "expand"
+    # built before the order is read, so an out-of-range vertex reports first
+    new_graph = (expand_vertex if expand else duplicate_vertex)(g, x)
     if args.order is None:
-        new_graph = expand_vertex if expand else duplicate_vertex
-        _emit(format_graph(new_graph(g, x)), args.emit)
+        _emit(format_graph(new_graph), args.emit)
         return PASS
     o = fixtures.resolve_order(args.order, g)
     if not expand:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .graphs import TWO_K2, Graph, expand_vertex, duplicate_vertex, parse_graph
 from .linquot import GeneratorOrdering, ordering_from_multisets
 from .power_ideals import PowerGenerators, edge_ideal, power_generators
@@ -176,9 +178,8 @@ def parse_order_file(text: str) -> list[tuple[int, ...]]:
 
 
 def format_order(o: GeneratorOrdering) -> str:
-    names = list(map(str, range(o.base.ideal.nedges)))
-    lines = [" ".join(map(names.__getitem__, ms)) for ms in o.multisets()]
-    return "\n".join(lines) + "\n"
+    names = np.array(list(map(str, range(o.base.ideal.nedges))), dtype=object)
+    return "\n".join(map(" ".join, names[o.base.least[list(o.sequence)]].tolist())) + "\n"
 
 
 def resolve_order(source: str, g: Graph) -> GeneratorOrdering:

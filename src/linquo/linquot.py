@@ -6,9 +6,9 @@ with deg(u_i : u_t) > 1 there is an earlier j whose colon u_j : u_t is a
 single variable dividing u_i : u_t.  The verifier finds those variables
 through shared divisors (u_j = m x_v and u_t = m x_w), by a dict walk over
 the (position, support variable) pairs of a small order and by one sort of
-their divisors in a large one.  It then tests each position with one OR of
-position bitmasks cut to the end of its block of positions: O(r * n) big-int
-operations, not O(r^2 * n) exponent comparisons.
+their divisors' packed keys in a large one.  It then tests each position
+with one AND chain of position bitmasks cut to the end of its block of
+positions: O(r * n) big-int operations, not O(r^2 * n) exponent comparisons.
 
 The verifier and the search work on the exponent matrix
 ``PowerGenerators.exps`` directly (the verifier on its rows in the order's
@@ -23,8 +23,8 @@ into the power of I(G^x); expansion maps them into the power of I(G^[x]),
 where they are the generators that need no xy factor, and appends the rest.
 
 The search applies the same criterion to one candidate at a time, on Python
-int bitmasks over generator indices built once per search from the
-verifier's divisor keys and ``above`` masks: per candidate c and per variable
+int bitmasks over generator indices built once per search from the dict
+walk's divisor keys and ``above`` masks: per candidate c and per variable
 v that is some degree-one colon against c, the generators whose colon is x_v
 and those whose colon involves v.  Testing c after a prefix is then a few int
 operations on those masks and the prefix's.
@@ -39,16 +39,15 @@ import numpy as np
 
 from .graphs import duplicate_vertex, expand_vertex, is_gapfree
 from .monomials import Monomial
-from .power_ideals import EdgeIdeal, PowerGenerators, power_generators, row_keys
+from .power_ideals import EdgeIdeal, PowerGenerators, key_weights, power_generators, row_keys, sort_groups
 
 # The node budget of ``find_lq_order`` when the caller names none.
 DEFAULT_BUDGET = 10**6
 
-# Orders of at least this many generators get their unit colons by one sort,
-# smaller ones by the dict walk.  Timed per order, the walk is 55-70% faster
-# at r <= 61, the two are within 20% of each other at r = 129 and 138, and
-# the sort is 15-40% faster from r = 233 on.
-_SORT_ROWS = 128
+# Orders of at least this many generators get their unit colons by one sort, smaller ones by
+# the dict walk.  Timed per order, the walk is 5-55% faster at r <= 49, the two are within 20%
+# at r = 50-58, and the sort is 20-30% faster at r = 70-98 and 40-80% from r = 104 on.
+_SORT_ROWS = 50
 
 # Positions per block of the verifier's cover test.
 _COVER_BLOCK = 1024
@@ -155,9 +154,9 @@ def _unit_colon_masks(E: np.ndarray) -> list[int]:
     earlier row j: the pairs (t, w), w in supp(u_t), whose divisor u_t / x_w
     is an earlier pair's u_j / x_v.  Below ``_SORT_ROWS`` rows the
     ``_divisor_keys`` are walked, with ``seen[m]`` the v of the earlier rows
-    m x_v.  From there one stable sort puts each m's pairs together in row
-    order; a group holds at most n pairs, one per w, so for each lag d < n a
-    pair gains the w of the pair d places before it when both share m."""
+    m x_v.  From there one stable sort of the divisors' keys puts each m's
+    pairs together in row order, a segmented OR of one-hot variable words
+    gives each pair the w of those before it, and a scatter-OR sends them on."""
     r, n = E.shape
     if r < _SORT_ROWS:
         masks = [0] * r
@@ -167,25 +166,23 @@ def _unit_colon_masks(E: np.ndarray) -> list[int]:
             masks[t] |= got
             seen[m] = got | 1 << w
         return masks
-    # int32 indices and the narrowest exponent dtype keep the arrays small.
-    ts, ws = (a.astype(np.int32) for a in np.nonzero(E))
-    divisors = E.astype(np.min_scalar_type(E.max(initial=0)))[ts]
-    divisors -= np.eye(n, dtype=divisors.dtype)[ws]
-    order = np.lexsort(divisors.T)
-    divisors = divisors[order]
-    ts, ws = ts[order], ws[order]
-    del order
-    # gid[k]: the group of sorted pair k.
-    gid = np.zeros(len(ts), dtype=np.intp)
-    np.cumsum(np.any(divisors[1:] != divisors[:-1], axis=1), out=gid[1:])
-    del divisors
-    units = np.zeros((r, n), dtype=bool)
-    for d in range(1, n):
-        same = gid[d:] == gid[:-d]
-        if not same.any():
-            break
-        units[ts[d:][same], ws[:-d][same]] = True
-    return _bitmasks(units)
+    weights = key_weights(n, int(E.max(initial=0)))
+    ts, ws = (a.astype(np.int32) for a in np.nonzero(E))  # int32 keeps the arrays small
+    order, new = sort_groups((E @ weights)[ts] - weights[ws])
+    later = ~new[1:]  # the sorted pairs after the first of their group
+    ws, targets, gid = ws[order], ts[order][1:][later], np.cumsum(new, dtype=np.int32)
+    del order, ts, new
+    masks: list[int] = []
+    for low in range(0, n, 64):  # a group holds at most n pairs, one per w
+        # bit w - low of this word: numpy shifts by 64 or more, or by w < low wrapped, to 0
+        acc, d = np.uint64(1) << (ws - low).astype(np.uint64), 1
+        while d < len(acc) and (same := gid[d:] == gid[:-d]).any():
+            acc[d:] |= acc[:-d] * same
+            d *= 2
+        word = np.zeros(r, dtype=np.uint64)
+        np.bitwise_or.at(word, targets, acc[:-1][later])  # the OR up to the pair before
+        masks = [m | w << low for m, w in zip(masks, word.tolist())] if low else word.tolist()
+    return masks
 
 
 def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
@@ -200,26 +197,27 @@ def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     u_t = m x_w for a divisor m of degree 2q - 1; ``_unit_colon_masks`` finds
     them by a dict walk below ``_SORT_ROWS`` positions and by one sort of the
     divisors from there on.  Position t then passes iff every earlier row
-    exceeds u_t in some variable of V_t, tested as one OR of position bitmasks
-    per variable.  Positions are tested ``_COVER_BLOCK`` at a time with the
-    masks cut to the block's end, so each OR reads only the words below the
-    block; i is the lowest zero bit of t's cover, which is t when t passes.
+    exceeds u_t in some variable of V_t: the AND over V_t of the masks of the
+    rows i with E[i, v] <= E[t, v], at bit r - 1 - i, leaves t and the rows
+    that fail it.  Positions are tested ``_COVER_BLOCK`` at a time with masks cut
+    to the rows before the block's end: i = stop - missed.bit_length(), t if t passes.
     """
     E = o.exps()
     r, n = E.shape
     var_masks = _unit_colon_masks(E)
-    above, width = _above(E)
+    width = int(E.max(initial=0)) + 1  # below[v * width + k]: bit r - 1 - i where E[i, v] <= k
+    below = _bitmasks((E[::-1].T[:, None, :] <= np.arange(width)[:, None]).reshape(n * width, r))
     shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
     witness: LqWitness | None = None
     for start in range(0, r, _COVER_BLOCK):
         stop = min(start + _COVER_BLOCK, r)
-        # The masks hold r bits, so the last block needs no cut.
-        cut = above if stop == r else [a & (1 << stop) - 1 for a in above]
+        # row i at bit stop - 1 - i: the last block has no rows to shift out
+        cut, every = below if stop == r else [b >> r - stop for b in below], (1 << stop) - 1
         for t, row in enumerate(E[start:stop].tolist(), start):
-            cover = 0
+            missed = every
             for v in shared[var_masks[t]]:
-                cover |= cut[v * width + row[v]]
-            i = (cover ^ (cover + 1)).bit_length() - 1
+                missed &= cut[v * width + row[v]]
+            i = stop - missed.bit_length()
             if i < t:
                 witness = LqWitness(t, i, Monomial(np.maximum(E[i] - E[t], 0)))
                 break
@@ -298,7 +296,7 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
 
     The prefix, its support and each generator's support are int bitmasks.
     ``_search_tables`` builds every candidate's unit and touch masks once,
-    from the verifier's divisor keys and ``above`` masks; each test of a
+    from the dict walk's divisor keys and ``above`` masks; each test of a
     candidate against a prefix is then a few int operations (``_extends``).
     The tree is walked with an explicit stack, so its depth is not bounded by
     Python's recursion limit.

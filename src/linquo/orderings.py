@@ -30,7 +30,7 @@ import numpy as np
 
 from .graphs import Graph
 from .linquot import GeneratorOrdering, OrderingPreconditionError
-from .power_ideals import next_level, power_generators
+from .power_ideals import key_weights, next_level, power_generators
 
 
 def _lift(
@@ -46,12 +46,13 @@ def _lift(
     ideal = o.base.ideal
     pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
     erows = ideal.rows[list(edges)].astype(np.min_scalar_type(target_q))
-    rows = o.exps().astype(erows.dtype)
+    E, weights = o.exps(), key_weights(ideal.nvars, target_q)
+    rows, keys, ekeys = E.astype(erows.dtype), E @ weights, erows @ weights
     pos = np.empty(len(edges), dtype=np.int64)  # each edge's position in the sequence
     pos[list(edges)] = np.arange(len(edges))
     lead = pos[o.base.least[list(o.sequence)]].min(1)
     for _ in range(o.base.q, target_q):
-        rows, lead, _ = next_level(erows, rows, lead)
+        rows, keys, lead, _ = next_level(erows, ekeys, rows, keys, lead)
     return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 
 

@@ -5,17 +5,23 @@ minimal generators of the q-th power (equal degree 2q, so none divides
 another).  ``PowerGenerators`` stores them as ``exps``, an r x n int64 matrix.
 Generator i is the i-th distinct product in ``combinations_with_replacement``
 order, and ``least[i]``, the multiset where it first appears, is its least
-factorization.  ``locate`` maps rows back to indices through one dict keyed
-by the bytes of each int64 row, exact for any vertex count.  The full
-``factorizations`` and ``multiset_index`` are built on first use.
+factorization.  The full ``factorizations`` and ``multiset_index``, and the
+dict behind ``locate``, are built on first use.
+
+Rows are sorted and looked up by exact keys, ``rows @ key_weights(n, top)``:
+int64 words of ``top.bit_length()``-bit fields that never overflow, so a
+product's key is the sum of its factors' while no entry exceeds top, and
+u / x_w's is u's minus w's weight.  ``locate`` packs with top = q, and gives a
+row with an entry outside 0..q, which could alias a generator, the key -1.
 
 Each power is built from the one below.  If (j, ...) is the least
 factorization of u, its tail is the least one of u / e_j, since a tail with
 an edge below j would give u a smaller first edge.  So the products of each
 generator p of I^k with each edge j <= lead[p], the first edge of least[p],
 taken in the order of (j,) + least[p], hold every generator of I^(k+1), each
-first at its least factorization.  ``next_level`` numbers their first
-appearances, and the lift in ``orderings`` runs it along an edge sequence.
+first at its least factorization.  ``next_level`` finds their first
+appearances by one stable sort of the products' keys, and the lift in
+``orderings`` runs it along an edge sequence.
 
 An enumeration of more than ``CAP`` int64 entries is refused before any array
 is filled: the checker is desk-scale.  The ideal of s edges on n vertices
@@ -55,6 +61,29 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist()
 
 
+def key_weights(n: int, top: int) -> np.ndarray:
+    """The (n, words) int64 matrix that packs n entries in 0..top into keys."""
+    bits = top.bit_length() or 1
+    weights = np.zeros((n, max(n - 1, 0) // (63 // bits) + 1), dtype=np.int64)
+    for v in range(n):
+        weights[v, v // (63 // bits)] = 1 << bits * (v % (63 // bits))
+    return weights
+
+
+def sort_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort of non-negative key rows: the ``order``, and whether each sorted
+    row differs from the one before (one int64, key then index, if the index fits)."""
+    m, shift = len(keys), len(keys).bit_length()
+    if keys.shape[1] == 1 and not int(keys.max(initial=0)) >> 63 - shift:
+        ranked = np.sort(keys[:, 0] << shift | np.arange(m))
+        order = ranked & (1 << shift) - 1
+        ranked >>= shift
+    else:
+        order = np.lexsort(keys.T)
+        ranked = keys[order].view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+    return order, np.concatenate((np.ones(min(m, 1), dtype=bool), ranked[1:] != ranked[:-1]))
+
+
 class EdgeIdeal:
     """Edge ideal of a graph: generator j is the edge ``graph.edges[j]``, with
     exponent vector ``rows[j]``."""
@@ -86,17 +115,16 @@ def edge_ideal(g: Graph) -> EdgeIdeal:
     return EdgeIdeal(g)
 
 
-def next_level(edge_rows: np.ndarray, exps: np.ndarray, lead: np.ndarray):
-    """The first appearances among the products exps[p] + edge_rows[j] with
-    j <= lead[p], taken in (j, p) order, with each one's j and p."""
+def next_level(edge_rows, edge_keys, rows, keys, lead):
+    """The first appearances among the products rows[p] + edge_rows[j] with
+    j <= lead[p], in (j, p) order: their rows, keys, j and p."""
     j, p = np.nonzero(np.arange(len(edge_rows))[:, None] <= lead)
-    prod = exps[p] + edge_rows[j]
-    # (j, p) is factorization order, which the stable sort keeps among equal rows
-    by_row = np.lexsort(prod.T)
-    ranked = prod[by_row]
+    # (j, p) is factorization order, which the stable sort keeps among equal keys
+    order, new = sort_groups(prod := keys[p] + edge_keys[j])
     first = np.empty(len(j), dtype=bool)
-    first[by_row] = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(1)))
-    return prod[first], j[first], p[first]
+    first[order] = new
+    j, p = j[first], p[first]
+    return rows[p] + edge_rows[j], prod[first], j, p
 
 
 class PowerGenerators:
@@ -111,29 +139,34 @@ class PowerGenerators:
         m = comb(s + q - 1, q)
         _check_cap(m * (q + n), f"{m} edge multisets for q={q} over {s} edges on {n} vertices")
         edge_rows = ideal.rows.astype(np.min_scalar_type(q))
+        keys = edge_keys = ideal.rows @ (weights := key_weights(n, q))
         exps, lead = edge_rows, np.arange(s)
         levels = [(lead, lead)]  # an edge's parent is never read
         for _ in range(1, q if s else 1):
-            exps, lead, parent = next_level(edge_rows, exps, lead)
+            exps, keys, lead, parent = next_level(edge_rows, edge_keys, exps, keys, lead)
             levels.append((lead, parent))
         # least[i] = (lead, then the least factorization of the parent)
         self.least, at = np.empty((len(exps), q), dtype=np.int64), np.arange(len(exps))
         for k, (lead, parent) in enumerate(reversed(levels)):
             self.least[:, k], at = lead[at], parent[at]
-        self.ideal, self.q, self.exps = ideal, q, exps.astype(np.int64)
+        self.ideal, self.q, self.exps, self._weights, self._keys = ideal, q, exps.astype(np.int64), weights, keys
         for a in (self.exps, self.least):
             a.setflags(write=False)
-        self._at = dict(zip(row_keys(self.exps), range(len(exps))))
 
     @property
     def count(self) -> int:
-        return len(self._at)
+        return len(self.exps)
+
+    @cached_property
+    def _at(self) -> dict:
+        return dict(zip(row_keys(self._keys), range(self.count)))
 
     def locate(self, rows) -> list[int]:
         """The generator index of each exponent row, -1 for a row that is not
         a generator."""
         rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.ideal.nvars)
-        return list(map(self._at.get, row_keys(rows), repeat(-1)))
+        keys = np.where(((rows < 0) | (rows > self.q)).any(1, keepdims=True), -1, rows @ self._weights)
+        return list(map(self._at.get, row_keys(keys), repeat(-1)))
 
     @cached_property
     def factorizations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -144,7 +177,7 @@ class PowerGenerators:
         for column in zip(*multisets):  # one edge of each multiset at a time
             prod += self.ideal.rows.take(column, 0)
         facs: list[list[tuple[int, ...]]] = [[] for _ in range(self.count)]
-        for m, key in zip(multisets, row_keys(prod)):
+        for m, key in zip(multisets, row_keys(prod @ self._weights)):
             facs[self._at[key]].append(m)
         return tuple(map(tuple, facs))
 

@@ -692,10 +692,11 @@ def _gamma7_tower_order():
 
 def test_verifier_memory_on_the_c5_s16_order():
     # 4,845 and 8,142 generators (c5 at s = 16, and gamma7 at q = 7 as the
-    # tower builds it), both verified through the sort of narrow divisor rows.
-    # On gamma7 that peaks at about 1.8 MB; the dict walk's divisor keys,
-    # built in blocks of positions, peaked at 2.09 MB there, and keys for a
-    # whole order at once at about 4.8 MB on c5.
+    # tower builds it), both verified through one sort of packed divisor
+    # keys.  That peaks at about 1.06 MB on c5 and 1.9 MB on gamma7, as the
+    # sort of narrow divisor rows did; the dict walk's divisor keys, built in
+    # blocks of positions, peaked at 2.09 MB on gamma7, and keys for a whole
+    # order at once at about 4.8 MB on c5.
     c5_s16 = efficient_ordering(ordering(c5(), 2, ISTANBUL), 16)
     for o, r in ((c5_s16, 4845), (_gamma7_tower_order(), 8142)):
         tracemalloc.start()

@@ -12,7 +12,7 @@ from linquo.graphs import Graph
 from linquo.harness import nonisomorphic_graphs
 from linquo.linquot import _duplicated_rows, duplication_order, ordering_from_multisets
 from linquo.orderings import efficient_ordering, pure_power_edge_sequence
-from linquo.power_ideals import CapExceeded, edge_ideal, power_generators
+from linquo.power_ideals import CapExceeded, edge_ideal, key_weights, power_generators, sort_groups
 
 from helpers import eager_power
 
@@ -112,6 +112,67 @@ def test_generators_match_bruteforce_small():
             continue
         for q in (2, 3):
             assert_matches_bruteforce(g, q)
+
+
+def test_locate_answers_rows_outside_0_to_q_without_aliasing():
+    # I(C5)^3 packs each exponent into 2 bits.  For a generator g with
+    # g[0] = 0 and g[1] >= 1, g + 4 e_0 - e_1 holds an entry of 2^bits and
+    # g - 4 e_0 + e_1 a negative one; each packs onto g without the guard.
+    pg = power_generators(edge_ideal(c5()), 3)
+    weights = key_weights(5, 3)
+    g = next(row for row in pg.exps if row[0] == 0 and row[1] >= 1)
+    carry = np.array([4, -1, 0, 0, 0])
+    aliases = [g + carry, g - carry]
+    assert (np.array(aliases) @ weights == g @ weights).all()
+    assert pg.locate(aliases) == [-1, -1]
+    # every row with entries in -1..q + 1 on a random sample: its index, or
+    # -1 for a row that is no generator
+    index = {tuple(row): i for i, row in enumerate(pg.exps.tolist())}
+    rng = np.random.default_rng(61)
+    rows = np.vstack([pg.exps, rng.integers(-1, 5, size=(2000, 5))])
+    assert pg.locate(rows) == [index.get(tuple(row), -1) for row in rows.tolist()]
+
+
+def test_keys_that_span_several_words_build_and_locate_exactly():
+    # K5 spread over 70 vertices at q = 3: 2-bit fields, 31 to a word, so a
+    # key holds 3 words, and the edges at 0, 31, 64 put entries in each.
+    g = Graph(70, list(combinations((0, 31, 64, 66, 69), 2)))
+    assert key_weights(70, 3).shape == (70, 3)
+    assert_matches_bruteforce(g, 3)
+    pg = power_generators(edge_ideal(g), 3)
+    index = {tuple(row): i for i, row in enumerate(pg.exps.tolist())}
+    # one unit moved from each support vertex to each other vertex of K5, and
+    # to vertex 30, which no edge meets: a generator or no generator
+    moved = []
+    for row in pg.exps.tolist():
+        for w in (0, 31, 64, 66, 69):
+            if row[w]:
+                for v in (0, 30, 31, 64, 66, 69):
+                    if v != w:
+                        m = list(row)
+                        m[w] -= 1
+                        m[v] += 1
+                        moved.append(m)
+    got = pg.locate(moved)
+    assert got == [index.get(tuple(m), -1) for m in moved]
+    assert 0 < got.count(-1) < len(got)
+
+
+def test_sort_groups_sorts_stably_with_and_without_room_for_the_index():
+    # One-word keys small enough to share an int64 with the row index, one-
+    # word keys too large for it, and three-word keys: each sorted stably,
+    # equal keys together, against the stable sort of the keys as tuples.
+    rng = np.random.default_rng(67)
+    for words, top in ((1, 40), (1, 1 << 60), (3, 40)):
+        keys = rng.integers(0, 8, size=(500, words)) * (top // 8)
+        want = sorted(range(500), key=lambda i: tuple(keys[i][::-1]))
+        ranked = keys[want]
+        order, new = sort_groups(keys)
+        assert order.tolist() == want
+        assert new.tolist() == [True] + (ranked[1:] != ranked[:-1]).any(1).tolist()
+    for words in (1, 3):
+        order, new = sort_groups(np.zeros((0, words), dtype=np.int64))
+        assert len(order) == len(new) == 0 and new.dtype == bool
 
 
 def test_expansion_new_generators():
@@ -233,7 +294,8 @@ def test_complete_graph_powers_are_the_monomials_with_exponents_at_most_q():
 
 
 def test_power_build_memory():
-    # I(gamma7)^7: 8,142 generators, built level by level in one-byte rows
+    # I(gamma7)^7: 8,142 generators, built level by level on one-word keys
+    # (1.3 MB; 2.7 MB when each level sorted its one-byte product rows)
     ei = edge_ideal(named_graph("gamma7"))
     tracemalloc.start()
     try:
