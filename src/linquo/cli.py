@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or verified pass; 1 verified failure or rejection;
-2 usage error or malformed input; 3 the node budget ran out or the power is
-over the fixed multiset cap (``power_ideals.CAP``).
+2 usage error or malformed input; 3 the node budget ran out or the work is
+over the fixed cap on entries (``power_ideals.CAP``).
 
 An order (``--order``, ``--base-order``, ``--i2-order``) states its power q,
 the size of its edge multisets (every ``builtin:<name>`` order is a square),
@@ -18,7 +18,7 @@ computed):
     yes       an order found or built, and verified                               0
     no        no order: an exhausted search or a checked restriction certificate  1
     fail      a given or built order fails the verifier                           1
-    unknown   the node budget or the multiset cap ran out                         3
+    unknown   the node budget or the cap on entries ran out                       3
 """
 
 from __future__ import annotations

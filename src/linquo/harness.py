@@ -5,7 +5,7 @@ enumeration lives in ``enumeration``; its public names are bound here too.
 Every search verdict comes from ``search_verdict``: a "yes" carries an order
 re-verified before the record was written, a "no" an exhausted search or a
 checked restriction certificate, and an "unknown" the budget or the
-multiset cap (``power_ideals.CAP``) that ran out.  Theorem-implied
+cap on entries (``power_ideals.CAP``) that ran out.  Theorem-implied
 conclusions are reported apart from computed facts.
 """
 

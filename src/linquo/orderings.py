@@ -5,12 +5,12 @@ from an admissible edge order plus a square order.
 Both recursive constructions end in one lift routine, ``_lift``: given an
 order u_1 > ... > u_r of the generators of I^q and an edge sequence
 f_1, ..., f_s, the next power is ordered u_1 f_1 > ... > u_r f_1 > u_1 f_2 >
-... > u_r f_s with a product omitted when it already appeared.  Each step is
-``power_ideals.next_level`` along the sequence.  It skips f_a u when an edge f
-of a factorization of u precedes f_a, since f_a u = f (f_a u / f) came first:
-f is the earliest edge of u's least factorization in the first step, and the
-edge that formed u in each later one.  ``PowerGenerators.locate`` maps the
-rows to generator indices.  The constructions differ only in where the edge
+... > u_r f_s with a product omitted when it already appeared: the level
+steps of ``power_ideals.levels`` with the edges in sequence order.  Their
+bound skips f_a u when an edge f of a factorization of u precedes f_a, since
+f_a u = f (f_a u / f) came first, so the first step bounds u by the earliest
+edge of its least factorization.  ``PowerGenerators.locate`` maps the rows
+to generator indices.  The constructions differ only in where the edge
 sequence comes from: the pure powers in order, read off ``least``, or an
 admissible edge order.  They only build; the caller verifies.  Each check has
 one owner: ``_lift`` the target power against the base power,
@@ -30,7 +30,7 @@ import numpy as np
 
 from .graphs import Graph
 from .linquot import GeneratorOrdering, OrderingPreconditionError
-from .power_ideals import key_weights, next_level, power_generators
+from .power_ideals import levels, power_generators
 
 
 def _lift(
@@ -43,16 +43,11 @@ def _lift(
         raise ValueError(f"target power {target_q} below base power {o.base.q}")
     if target_q == o.base.q:
         return o
-    ideal = o.base.ideal
-    pg = power_generators(ideal, target_q)  # refuses an over-cap power before any work
-    erows = ideal.rows[list(edges)].astype(np.min_scalar_type(target_q))
-    E, weights = o.exps(), key_weights(ideal.nvars, target_q)
-    rows, keys, ekeys = E.astype(erows.dtype), E @ weights, erows @ weights
+    pg = power_generators(o.base.ideal, target_q)
     pos = np.empty(len(edges), dtype=np.int64)  # each edge's position in the sequence
     pos[list(edges)] = np.arange(len(edges))
     lead = pos[o.base.least[list(o.sequence)]].min(1)
-    for _ in range(o.base.q, target_q):
-        rows, keys, lead, _ = next_level(erows, ekeys, rows, keys, lead)
+    rows = levels(o.base.ideal.rows[list(edges)], o.exps(), lead, target_q, target_q - o.base.q)[0]
     return GeneratorOrdering(pg, tuple(pg.locate(rows)), provenance)
 
 

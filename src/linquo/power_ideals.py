@@ -19,16 +19,16 @@ factorization of u, its tail is the least one of u / e_j, since a tail with
 an edge below j would give u a smaller first edge.  So the products of each
 generator p of I^k with each edge j <= lead[p], the first edge of least[p],
 taken in the order of (j,) + least[p], hold every generator of I^(k+1), each
-first at its least factorization.  ``next_level`` finds their first
-appearances by one stable sort of the products' keys, and the lift in
-``orderings`` runs it along an edge sequence.
+first at its least factorization.  ``levels`` takes these steps, each by one
+stable sort of the products' keys: ``PowerGenerators`` from the edges, and
+the lift in ``orderings`` from a lower power's order along an edge sequence.
 
-An enumeration of more than ``CAP`` int64 entries is refused before any array
-is filled: the checker is desk-scale.  The ideal of s edges on n vertices
-holds s * n entries, and its power q is counted as M * (q + n) for its M =
-C(s+q-1, q) edge multisets.  A level forms at most M products, one per
-multiset whose tail is a least factorization, and ``least`` holds M * q
-entries at most.  ``CAP`` is read at each call, so a test may lower it.
+Work beyond ``CAP`` int64 entries is refused before its arrays are filled.
+The ideal of s edges on n vertices holds s * n.  Before each step ``levels``
+adds the step's products, the sum of lead[p] + 1, at n + q entries each (a
+row and a share of ``least``) to a running count, so a power of one edge at
+a huge q is refused too.  ``factorizations`` alone enumerates all M =
+C(s+q-1, q) edge multisets, counted as M * (q + n).  ``CAP`` is read per call.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class CapExceeded(RuntimeError):
 
 
 def _check_cap(entries: int, what: str) -> None:
-    """Refuse, before any array is filled, an enumeration of more than ``CAP``
-    entries."""
+    """Refuse work of more than ``CAP`` entries before its arrays are filled."""
     if entries > CAP:
         raise CapExceeded(f"{what} ({entries} entries) exceed cap {CAP}")
 
@@ -115,16 +114,26 @@ def edge_ideal(g: Graph) -> EdgeIdeal:
     return EdgeIdeal(g)
 
 
-def next_level(edge_rows, edge_keys, rows, keys, lead):
-    """The first appearances among the products rows[p] + edge_rows[j] with
-    j <= lead[p], in (j, p) order: their rows, keys, j and p."""
-    j, p = np.nonzero(np.arange(len(edge_rows))[:, None] <= lead)
-    # (j, p) is factorization order, which the stable sort keeps among equal keys
-    order, new = sort_groups(prod := keys[p] + edge_keys[j])
-    first = np.empty(len(j), dtype=bool)
-    first[order] = new
-    j, p = j[first], p[first]
-    return rows[p] + edge_rows[j], prod[first], j, p
+def levels(edge_rows, rows, lead, q, steps):
+    """Take ``steps`` steps from ``rows``, each keeping the first of the products
+    rows[p] + edge_rows[j], j <= lead[p], in (j, p) order, with lead j and parent
+    p.  Returns the last rows and keys, for entries in 0..q, and each (lead, parent)."""
+    s, n = edge_rows.shape
+    weights, dtype = key_weights(n, q), np.min_scalar_type(q)
+    erows, ekeys = edge_rows.astype(dtype), edge_rows @ weights
+    rows, keys = (erows, ekeys) if rows is edge_rows else (rows.astype(dtype), rows @ weights)
+    count, pairs = 0, []
+    for _ in range(steps if s else 0):
+        count += (int(lead.sum()) + len(lead)) * (n + q)
+        _check_cap(count, f"level steps to q={q} over {s} edges on {n} vertices")
+        j, p = np.nonzero(np.arange(s)[:, None] <= lead)
+        # (j, p) is factorization order, which the stable sort keeps among equal keys
+        order, new = sort_groups(prod := keys[p] + ekeys[j])
+        first = np.empty(len(j), dtype=bool)
+        first[order] = new
+        pairs.append((lead := j[first], parent := p[first]))
+        rows, keys = rows[parent] + erows[lead], prod[first]
+    return rows, keys, pairs
 
 
 class PowerGenerators:
@@ -135,21 +144,13 @@ class PowerGenerators:
     def __init__(self, ideal: EdgeIdeal, q: int):
         if q < 1:
             raise ValueError("power must be >= 1")
-        s, n = ideal.nedges, ideal.nvars
-        m = comb(s + q - 1, q)
-        _check_cap(m * (q + n), f"{m} edge multisets for q={q} over {s} edges on {n} vertices")
-        edge_rows = ideal.rows.astype(np.min_scalar_type(q))
-        keys = edge_keys = ideal.rows @ (weights := key_weights(n, q))
-        exps, lead = edge_rows, np.arange(s)
-        levels = [(lead, lead)]  # an edge's parent is never read
-        for _ in range(1, q if s else 1):
-            exps, keys, lead, parent = next_level(edge_rows, edge_keys, exps, keys, lead)
-            levels.append((lead, parent))
+        lead = np.arange(ideal.nedges)
+        exps, self._keys, steps = levels(ideal.rows, ideal.rows, lead, q, q - 1)
         # least[i] = (lead, then the least factorization of the parent)
         self.least, at = np.empty((len(exps), q), dtype=np.int64), np.arange(len(exps))
-        for k, (lead, parent) in enumerate(reversed(levels)):
+        for k, (lead, parent) in enumerate(reversed([(lead, lead), *steps])):
             self.least[:, k], at = lead[at], parent[at]
-        self.ideal, self.q, self.exps, self._weights, self._keys = ideal, q, exps.astype(np.int64), weights, keys
+        self.ideal, self.q, self.exps = ideal, q, exps.astype(np.int64)
         for a in (self.exps, self.least):
             a.setflags(write=False)
 
@@ -165,20 +166,24 @@ class PowerGenerators:
         """The generator index of each exponent row, -1 for a row that is not
         a generator."""
         rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.ideal.nvars)
-        keys = np.where(((rows < 0) | (rows > self.q)).any(1, keepdims=True), -1, rows @ self._weights)
+        outside = ((rows < 0) | (rows > self.q)).any(1, keepdims=True)
+        keys = np.where(outside, -1, rows @ key_weights(self.ideal.nvars, self.q))
         return list(map(self._at.get, row_keys(keys), repeat(-1)))
 
     @cached_property
     def factorizations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``factorizations[i]``: the edge multisets that multiply out to
         generator i, in enumeration order; built on first use."""
-        multisets = list(combinations_with_replacement(range(self.ideal.nedges), self.q))
-        prod = np.zeros((len(multisets), self.ideal.nvars), dtype=np.int64)
+        s, n, q = self.ideal.nedges, self.ideal.nvars, self.q
+        m = comb(s + q - 1, q)
+        _check_cap(m * (q + n), f"{m} edge multisets for q={q} over {s} edges on {n} vertices")
+        multisets = list(combinations_with_replacement(range(s), q))
+        prod = np.zeros((m, n), dtype=np.int64)
         for column in zip(*multisets):  # one edge of each multiset at a time
             prod += self.ideal.rows.take(column, 0)
         facs: list[list[tuple[int, ...]]] = [[] for _ in range(self.count)]
-        for m, key in zip(multisets, row_keys(prod @ self._weights)):
-            facs[self._at[key]].append(m)
+        for ms, key in zip(multisets, row_keys(prod @ key_weights(n, q))):
+            facs[self._at[key]].append(ms)
         return tuple(map(tuple, facs))
 
     @cached_property

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
 from linquo import cli, fixtures, harness
-from linquo.graphs import format_graph
+from linquo.graphs import Graph, format_graph
 from linquo.linquot import GeneratorOrdering, SearchResult
 from linquo.orderings import efficient_ordering
 from linquo.power_ideals import edge_ideal, power_generators
@@ -203,6 +204,17 @@ def test_powers_list(capsys):
         "exps": [2, 2, 0, 0, 0],
         "factorizations": [[0, 0]],
     }
+
+
+def test_powers_of_k7_at_q7_are_counted_but_not_listed(tmp_path, capsys):
+    # 32,292 generators, built level by level; --list needs the 888,030 edge
+    # multisets, over the cap.
+    path = tmp_path / "k7.txt"
+    path.write_text(format_graph(Graph(7, combinations(range(7), 2))))
+    assert cli.main(["powers", "--graph", str(path), "--q", "7"]) == PASS
+    assert json.loads(capsys.readouterr().out)["count"] == 32292
+    assert cli.main(["powers", "--graph", str(path), "--q", "7", "--list"]) == BUDGET
+    assert "888030 edge multisets" in capsys.readouterr().err
 
 
 def test_seed_flag_is_gone(capsys):

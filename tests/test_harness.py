@@ -354,17 +354,26 @@ def test_theorem64_cap_hit_reports_no_failure(monkeypatch):
 
 
 def test_theorem64_cap_hit_above_the_square_is_unknown(monkeypatch, capsys):
-    # I(c5)^q has C(q+4, 4) edge multisets of q + 5 entries: 9 * 70 = 630
-    # entries at q = 4, 1,260 at q = 5.
+    # The steps to I(c5)^q form 15, 35, 70, ... products of q + 5 entries:
+    # 50 * 8 = 400 entries at q = 3, 120 * 9 = 1,080 at q = 4.
     monkeypatch.setattr(power_ideals, "CAP", 630)
     report = check_theorem64_premises(c5())
-    reason = "126 edge multisets for q=5 over 5 edges on 5 vertices (1260 entries) exceed cap 630"
-    assert report["computed"][5] == {"verdict": "unknown", "reason": reason}
-    assert list(report["computed"]) == [2, 3, 4, 5]
-    assert report["holds_through"] == 4
+    reason = "level steps to q=4 over 5 edges on 5 vertices (1080 entries) exceed cap 630"
+    assert report["computed"][4] == {"verdict": "unknown", "reason": reason}
+    assert list(report["computed"]) == [2, 3, 4]
+    assert report["holds_through"] == 3
     assert "first_failure_q" not in report and report["implied"] is None
     assert cli.main(["thm64", "--graph", "c5"]) == cli.BUDGET
-    assert json.loads(capsys.readouterr().out)["computed"]["5"]["reason"] == reason
+    assert json.loads(capsys.readouterr().out)["computed"]["4"]["reason"] == reason
+
+
+def test_theorem64_tower_of_k7_holds_through_7():
+    # K7 is cochordal, so every power has linear quotients; I(K7)^7 is inside
+    # the cap, though its 888,030 edge multisets are not.
+    report = check_theorem64_premises(Graph(7, combinations(range(7), 2)))
+    assert report["holds_through"] == 7 and report["implied"] is not None
+    counts = [report["computed"][q]["count"] for q in range(2, 8)]
+    assert counts == [161, 728, 2415, 6538, 15330, 32292]
 
 
 # Orders each repro target verifies: constructions only build, so each order

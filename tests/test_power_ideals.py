@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -200,20 +201,47 @@ def test_cap_aborts_cleanly(monkeypatch):
 
 
 def test_cap_bounds_entries_not_just_multisets(monkeypatch):
-    # One or two edges have q + 1 or fewer multisets at any q, but each holds
-    # q entries: 2K2 at q = 10^6 and K2 at q = 10^8 are refused at once.
+    # One or two edges give one or two generators a level, but each step
+    # counts its products at n + q entries: 2K2 at q = 10^6 and K2 at q = 10^8
+    # are refused at once.
     two_k2 = edge_ideal(Graph(4, [(0, 1), (2, 3)]))
-    with pytest.raises(CapExceeded, match=r"1000001 edge multisets .* exceed cap 10000000"):
+    with pytest.raises(CapExceeded, match=r"q=1000000 .* \(12000048 entries\) exceed cap 10000000"):
         power_generators(two_k2, 10**6)
     with pytest.raises(CapExceeded):
         power_generators(edge_ideal(Graph(2, [(0, 1)])), 10**8)
-    # the limit itself: the C(s + q - 1, q) multisets, with q edge indices
-    # and an n-wide product row each, may hold as many entries as the cap
-    monkeypatch.setattr(power_ideals, "CAP", 28)
+    # the limit itself: the steps to q = 3 form 3 and then 4 products, of
+    # n + q = 7 entries each, and may count as many entries as the cap
+    monkeypatch.setattr(power_ideals, "CAP", 49)
     assert power_generators(two_k2, 3).count == 4
-    monkeypatch.setattr(power_ideals, "CAP", 27)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(power_ideals, "CAP", 48)
+    want = r"^level steps to q=3 over 2 edges on 4 vertices \(49 entries\) exceed cap 48$"
+    with pytest.raises(CapExceeded, match=want):
         power_generators(two_k2, 3)
+
+
+def test_one_edge_at_a_huge_power_is_refused_at_once():
+    # The steps to I(K2)^(10^6) form one product each, of 10^6 + 2 entries:
+    # the tenth passes the cap, before any array of a later level exists.
+    k2 = edge_ideal(Graph(2, [(0, 1)]))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match=r"\(10000020 entries\)"):
+            power_generators(k2, 10**6)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+
+
+def test_the_cap_admits_the_power_of_k7_and_refuses_its_multisets():
+    # I(K7)^7 has 32,292 generators from 888,030 edge multisets: its levels
+    # count 1.5M entries, its multisets 12.4M.
+    pg = power_generators(edge_ideal(Graph(7, combinations(range(7), 2))), 7)
+    assert pg.count == 32292
+    with pytest.raises(CapExceeded, match=r"^888030 edge multisets for q=7 over 21 edges on 7 vertices"):
+        pg.factorizations
 
 
 def test_cap_counts_the_vertices(monkeypatch):
@@ -232,7 +260,8 @@ def test_cap_counts_the_vertices(monkeypatch):
 
 
 def test_cap_is_checked_before_the_lift(monkeypatch):
-    # I(C5)^30 has 46,376 multisets: the lift is refused before any row of it.
+    # The steps to I(C5)^30 form 15 and then 35 products, of 35 entries each:
+    # 1,750 entries, so the lift is refused before any row of it.
     ist = ordering_from_multisets(power_generators(edge_ideal(c5()), 2), ISTANBUL)
     monkeypatch.setattr(power_ideals, "CAP", 1000)
     tracemalloc.start()
