@@ -8,6 +8,7 @@ An order (``--order``, ``--base-order``, ``--i2-order``) states its power q,
 the size of its edge multisets (every ``builtin:<name>`` order is a square),
 and indexes the graph's edge sequence, which must be the one it was written for.
 Constructions only build: a command verifies a given order before using it.
+Every command writes its result to standard output; redirect it to keep a file.
 
 A verdict gives its exit code through ``VERDICT_EXIT``, the same table for
 ``find-order``, ``verify``, the order constructions, ``compatible-orders``
@@ -75,36 +76,31 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("find-order", help="search for a linear-quotients order")
     graph_arg(sp)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--emit", help="write the found order to this file")
 
     sp = sub.add_parser("efficient-order", help="recursive pure-power order from a base order")
     graph_arg(sp)
     sp.add_argument("--base-order", required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--emit")
 
     sp = sub.add_parser("admissible-order", help="construct an admissible edge order")
     graph_arg(sp)
 
     sp = sub.add_parser("compatible-orders", help="compatible order of a power from a square order")
     graph_arg(sp)
-    sp.add_argument("--edge-order", default="auto", help="order file, 'auto', or edge indices separated by commas or spaces")
+    sp.add_argument("--edge-order", default="auto", help="'auto' or edge indices separated by commas or spaces")
     sp.add_argument("--i2-order", default="auto", help="order file, builtin:<name>, or 'auto'")
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--emit")
 
     sp = sub.add_parser("duplicate", help="duplicate a vertex; optionally transport an order")
     graph_arg(sp)
     sp.add_argument("--vertex", required=True)
     sp.add_argument("--order")
-    sp.add_argument("--emit")
 
     sp = sub.add_parser("expand", help="expand a vertex; optionally transport an order")
     graph_arg(sp)
     sp.add_argument("--vertex", required=True)
     sp.add_argument("--order")
-    sp.add_argument("--b-order", help="comma-separated vertex indices ordering B")
-    sp.add_argument("--emit")
+    sp.add_argument("--b-order", help="B's vertices, indices or labels, by commas or spaces (default: index order)")
 
     sp = sub.add_parser("classify", help="graph classifiers and invariants")
     graph_arg(sp)
@@ -122,14 +118,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("names", nargs="*", help=f"subset of: {', '.join(harness.REPRO_SUITE)}")
 
     return p
-
-
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _vertex(g, token: str) -> int:
@@ -152,9 +140,9 @@ def _print_verified(o, args) -> int:
     """Print a constructed order and exit with the verifier's verdict on it."""
     passed = verify_linear_quotients(o).passed
     if args.json:
-        _emit(json.dumps({"order": o.multisets()}, indent=2) + "\n", args.emit)
+        print(json.dumps({"order": o.multisets()}, indent=2))
     else:
-        _emit(fixtures.format_order(o), args.emit)
+        sys.stdout.write(fixtures.format_order(o))
     return VERDICT_EXIT["yes" if passed else "fail"]
 
 
@@ -206,7 +194,7 @@ def _cmd_find_order(args) -> int:
     if args.json:
         print(json.dumps(record, indent=2))
     elif o is not None:
-        _emit(fixtures.format_order(o), args.emit)
+        sys.stdout.write(fixtures.format_order(o))
     else:
         print(_not_found(record, args.budget, g, args.q), file=sys.stderr)
     return VERDICT_EXIT[record["verdict"]]
@@ -232,9 +220,6 @@ def _cmd_admissible_order(args) -> int:
 def _resolve_edge_order(g, token: str, o2) -> tuple[int, ...]:
     if token == "auto":
         return auto_edge_order(g, o2)[0]
-    if token.strip("0123456789, \t\n"):  # a file: more than digits, commas and whitespace
-        with open(token) as fh:
-            token = fh.read()
     return tuple(int(t) for t in token.replace(",", " ").split())
 
 
@@ -264,15 +249,13 @@ def _cmd_transport(args) -> int:
     # built before the order is read, so an out-of-range vertex reports first
     new_graph = (expand_vertex if expand else duplicate_vertex)(g, x)
     if args.order is None:
-        _emit(format_graph(new_graph), args.emit)
+        sys.stdout.write(format_graph(new_graph))
         return PASS
     o = fixtures.resolve_order(args.order, g)
     if not expand:
         require_verified(o, "duplication_order")
         return _print_verified(duplication_order(o, x), args)
-    b_order = None
-    if args.b_order:
-        b_order = tuple(int(t) for t in args.b_order.replace(",", " ").split())
+    b_order = [_vertex(g, t) for t in (args.b_order or "").replace(",", " ").split()] or None
     built = expansion_order(o, x, b_order)  # its gapfree and B-order checks report first
     require_verified(o, "expansion_order")
     return _print_verified(built, args)

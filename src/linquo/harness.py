@@ -192,8 +192,7 @@ def repro_istanbul(check, budget: int) -> None:
 
 
 def repro_pentagon_powers(check, budget: int) -> None:
-    pg = power_generators(edge_ideal(fixtures.c5()), 2)
-    o = fixtures.builtin_order("istanbul", pg)
+    o = fixtures.resolve_order("builtin:istanbul", fixtures.c5())
     for s in (3, 4, 5, 6):
         o = efficient_ordering(o, s)
         want = comb(s + 4, 4)
@@ -238,8 +237,7 @@ def repro_gamma7(check, budget: int) -> None:
     g7 = fixtures.gamma7()
     check("gamma7 is CDCC", is_cdcc(g7))
     check("gamma7 matching number is 3", matching_number(g7) == 3)
-    pg4 = power_generators(edge_ideal(fixtures.fig4()), 2)
-    o2 = fixtures.builtin_order("fig4", pg4)
+    o2 = fixtures.resolve_order("builtin:fig4", fixtures.fig4())
     o3 = efficient_ordering(o2, 3)
     # Duplicate z, then keep duplicating the freshest copy: 7, 8, 9 vertices.
     for q, base in ((2, o2), (3, o3)):
@@ -277,8 +275,7 @@ def repro_expansion(check, budget: int) -> None:
                 ok = ok and verify_linear_quotients(o).passed
             what = f"{label}, power {s}: expansion order verifies for all {len(b_orders)} B-orders"
             check(what, ok)
-    pgc5 = power_generators(edge_ideal(fixtures.c5()), 2)
-    ist = fixtures.builtin_order("istanbul", pgc5)
+    ist = fixtures.resolve_order("builtin:istanbul", fixtures.c5())
     try:
         expansion_order(ist, 0)
         rejected = False
@@ -289,8 +286,7 @@ def repro_expansion(check, budget: int) -> None:
 
 def repro_thm64_c5(check, budget: int) -> None:
     g = fixtures.c5()
-    pg = power_generators(edge_ideal(g), 2)
-    o2 = fixtures.builtin_order("istanbul", pg)
+    o2 = fixtures.resolve_order("builtin:istanbul", g)
     report = check_theorem64_premises(g, q_through=8, o2=o2)
     computed = {str(k): v for k, v in report["computed"].items()}
     c8 = computed.pop("8", {})

@@ -24,10 +24,10 @@ where they are the generators that need no xy factor, and appends the rest.
 
 The search applies the same criterion to one candidate at a time, on Python
 int bitmasks over generator indices built once per search from the dict
-walk's divisor keys and ``above`` masks: per candidate c and per variable
+walk's divisor keys and ``_below`` masks: per candidate c and per variable
 v that is some degree-one colon against c, the generators whose colon is x_v
-and those whose colon involves v.  Testing c after a prefix is then a few int
-operations on those masks and the prefix's.
+and those whose colon does not involve v.  Testing c after a prefix is then
+a few int operations on those masks and the prefix's.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ def _divisor_keys(E: np.ndarray) -> Iterator[tuple[int, int, bytes]]:
     return zip(ts.tolist(), ws.tolist(), row_keys(divisors))
 
 
-def _above(E: np.ndarray) -> tuple[list[int], int]:
-    """``(above, width)``: above[v * width + k] holds the rows whose exponent of v exceeds k."""
+def _below(E: np.ndarray) -> tuple[list[int], int]:
+    """``(below, width)``: bit i of below[v * width + k] is set where E[i, v] <= k."""
     r, n = E.shape
     width = int(E.max(initial=0)) + 1
-    return _bitmasks((E.T[:, None, :] > np.arange(width)[:, None]).reshape(n * width, r)), width
+    return _bitmasks((E.T[:, None, :] <= np.arange(width)[:, None]).reshape(n * width, r)), width
 
 
 def _unit_colon_masks(E: np.ndarray) -> list[int]:
@@ -205,8 +205,7 @@ def verify_linear_quotients(o: GeneratorOrdering) -> LqReport:
     E = o.exps()
     r, n = E.shape
     var_masks = _unit_colon_masks(E)
-    width = int(E.max(initial=0)) + 1  # below[v * width + k]: bit r - 1 - i where E[i, v] <= k
-    below = _bitmasks((E[::-1].T[:, None, :] <= np.arange(width)[:, None]).reshape(n * width, r))
+    below, width = _below(E[::-1])  # row i at bit r - 1 - i
     shared = {m: frozenset(v for v in range(n) if m >> v & 1) for m in set(var_masks)}
     witness: LqWitness | None = None
     for start in range(0, r, _COVER_BLOCK):
@@ -253,9 +252,9 @@ class SearchResult:
 
 
 def _search_tables(E: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """Per row c of E, a pair ``(unit, touch)`` of bitmasks over the rows p for
+    """Per row c of E, a pair ``(unit, below)`` of bitmasks over the rows p for
     each v, ascending, with some u_p : u_c = x_v: ``unit`` holds those p and
-    ``touch``, the ``above`` mask of v at u_c's exponent, the p with v in
+    ``below``, the ``_below`` mask of v at u_c's exponent, the p with v not in
     supp(u_p : u_c).  u_p : u_c = x_v iff u_p = m x_v and u_c = m x_w for some
     m, so one walk over the divisor keys records each unit colon both ways."""
     units = [[0] * E.shape[1] for _ in E]
@@ -267,22 +266,23 @@ def _search_tables(E: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
             units[t][v] |= 1 << p
             units[p][w] |= 1 << t
         group.append((t, w))
-    above, width = _above(E)
+    below, width = _below(E)
     return [
-        tuple((unit, above[v * width + k]) for v, (unit, k) in enumerate(zip(us, row)) if unit)
+        tuple((unit, below[v * width + k]) for v, (unit, k) in enumerate(zip(us, row)) if unit)
         for us, row in zip(units, E.tolist())
     ]
 
 
 def _extends(units: tuple[tuple[int, int], ...], mask: int) -> bool:
     """Whether the colon ideal of the prefix ``mask`` at the tables' generator
-    is generated by variables: every prefix row lies in a touch mask whose unit
-    meets the prefix (a row whose colon is x_v lies in both masks of v)."""
-    covered = 0
-    for unit, touch in units:
+    is generated by variables: no prefix row lies in the below mask of every v
+    whose unit meets the prefix (a row whose colon is x_v is in v's unit and
+    not in its below mask)."""
+    missed = mask
+    for unit, below in units:
         if unit & mask:
-            covered |= touch
-    return not mask & ~covered
+            missed &= below
+    return not missed
 
 
 def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -295,8 +295,8 @@ def find_lq_order(pg: PowerGenerators, budget: int = DEFAULT_BUDGET) -> SearchRe
     prefix is entered whose set was exhausted before under another order.
 
     The prefix, its support and each generator's support are int bitmasks.
-    ``_search_tables`` builds every candidate's unit and touch masks once,
-    from the dict walk's divisor keys and ``above`` masks; each test of a
+    ``_search_tables`` builds every candidate's unit and below masks once,
+    from the dict walk's divisor keys and ``_below`` masks; each test of a
     candidate against a prefix is then a few int operations (``_extends``).
     The tree is walked with an explicit stack, so its depth is not bounded by
     Python's recursion limit.

@@ -140,7 +140,7 @@ def one_candidate_colon_tables(E, c):
     pos = D > 0
     degs = D.sum(axis=1)
     unit = pos & (degs == 1)[:, None]
-    wide, *masks = _bitmasks(np.vstack([degs > 1, unit.T, pos.T]))
+    wide, *masks = _bitmasks(np.vstack([degs > 1, unit.T, ~pos.T]))
     n = E.shape[1]
     units = tuple((masks[v], masks[n + v]) for v in range(n) if masks[v])
     return wide, units

@@ -103,12 +103,27 @@ def test_orders_from_files_and_builtins_keep_their_pins(tmp_path, capsys):
     cube = tmp_path / "fig4-cube.order"
     cube.write_text(fixtures.format_order(efficient_ordering(_square("fig4"), 3)))
     transport = ["--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2"]
-    runs = {
-        "compatible fig4 q=4": ["efficient-order", "--graph", "fig4", "--base-order", str(cube), "--s", "4"],
-        "duplication fig2 at x": ["duplicate", *transport],
-        "expansion fig2 at x, B=(2, 3)": ["expand", *transport, "--b-order", "2,3"],
-        "expansion fig2 at x, B=(3, 2)": ["expand", *transport, "--b-order", "3,2"],
-    }
-    for label, argv in runs.items():
+    runs = [
+        ("compatible fig4 q=4", ["efficient-order", "--graph", "fig4", "--base-order", str(cube), "--s", "4"]),
+        ("duplication fig2 at x", ["duplicate", *transport]),
+        ("expansion fig2 at x, B=(2, 3)", ["expand", *transport, "--b-order", "2,3"]),
+        ("expansion fig2 at x, B=(3, 2)", ["expand", *transport, "--b-order", "3,2"]),
+        # B is read as ``--vertex`` is: p and q are fig2's vertices 2 and 3
+        ("expansion fig2 at x, B=(2, 3)", ["expand", *transport, "--b-order", "p,q"]),
+        ("expansion fig2 at x, B=(3, 2)", ["expand", *transport, "--b-order", "q,p"]),
+    ]
+    for label, argv in runs:
         assert cli.main(argv) == cli.PASS
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS[label]
+
+
+def test_a_printed_order_is_read_back_from_its_file(tmp_path, capsys):
+    """A command writes its order to standard output, and that output saved
+    to a file is an order file that ``verify`` and the constructions read."""
+    path = tmp_path / "c5-cube.order"
+    assert cli.main(["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "3"]) == cli.PASS
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(["verify", "--graph", "c5", "--order", str(path)]) == cli.PASS
+    capsys.readouterr()
+    assert cli.main(["efficient-order", "--graph", "c5", "--base-order", str(path), "--s", "4"]) == cli.PASS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINS["efficient c5 s=4"]

@@ -16,6 +16,7 @@ PASS, FAIL, USAGE, BUDGET = cli.PASS, cli.FAIL, cli.USAGE, cli.BUDGET
 Q2000 = "<q2000.order>"  # stands for an order file of I^2000 written by the test
 BAD = "<bad.order>"  # stands for an order file whose line 2 is not edge indices
 MISSING = "<missing.order>"  # stands for a path with no file
+EDGES = "<01234>"  # stands for a file that holds the edge order 0 4 1 2 3, never read
 
 
 @pytest.mark.parametrize(
@@ -45,6 +46,7 @@ MISSING = "<missing.order>"  # stands for a path with no file
         (["classify", "--graph", "no-such-fixture"], USAGE),
         (["verify", "--graph", "c5", "--order", BAD], USAGE),
         (["verify", "--graph", "c5", "--order", MISSING], USAGE),
+        (["compatible-orders", "--graph", "c5", "--i2-order", "builtin:istanbul", "--edge-order", EDGES, "--q", "3"], USAGE),
         (["--budget", "1", "find-order", "--graph", "c5", "--q", "2"], BUDGET),
         (["powers", "--graph", "2k2", "--q", "1000000"], BUDGET),
         (["verify", "--graph", "c5", "--order", Q2000], BUDGET),
@@ -63,7 +65,8 @@ def test_exit_codes(argv, code, tmp_path, capsys):
     # One multiset of 2,000 edges: the order is of I^2000, over the cap.
     (tmp_path / "q2000.order").write_text(" ".join(["0"] * 2000) + "\n")
     (tmp_path / "bad.order").write_text("0 0\n0 x\n")
-    paths = {Q2000: "q2000.order", BAD: "bad.order", MISSING: "missing.order"}
+    (tmp_path / "01234").write_text("0 4 1 2 3\n")
+    paths = {Q2000: "q2000.order", BAD: "bad.order", MISSING: "missing.order", EDGES: "01234"}
     assert cli.main([str(tmp_path / paths[a]) if a in paths else a for a in argv]) == code
     if BAD in argv:
         assert "line 2: expected edge indices, got '0 x'" in capsys.readouterr().err
@@ -233,6 +236,11 @@ def test_seed_flag_is_gone(capsys):
         ["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--base-q", "2", "--s", "3"],
         ["duplicate", "--graph", "fig4", "--vertex", "z", "--q", "2", "--order", "builtin:fig4"],
         ["expand", "--graph", "fig2", "--vertex", "x", "--q", "2", "--order", "builtin:fig2"],
+        ["find-order", "--graph", "c5", "--q", "2", "--emit", "c5.order"],
+        ["efficient-order", "--graph", "c5", "--base-order", "builtin:istanbul", "--s", "3", "--emit", "c5.order"],
+        ["compatible-orders", "--graph", "fig2", "--i2-order", "builtin:fig2", "--q", "3", "--emit", "fig2.order"],
+        ["duplicate", "--graph", "fig2", "--vertex", "x", "--emit", "fig2x.graph"],
+        ["expand", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2", "--emit", "fig2x.order"],
     ],
     ids=lambda v: " ".join(v),
 )
@@ -310,8 +318,16 @@ def test_repro_checks_every_name_before_running_any(monkeypatch, capsys):
             "error: unknown built-in order 'nosuch'\n",
         ),
         (["classify", "--graph", "c5k0"], "error: clique size must be >= 1\n"),
+        (
+            ["expand", "--graph", "fig2", "--vertex", "x", "--order", "builtin:fig2", "--b-order", "p,w"],
+            "error: unknown vertex 'w' (labels: a, b, p, q, x, z)\n",
+        ),
+        (
+            ["compatible-orders", "--graph", "c5", "--i2-order", "builtin:istanbul", "--edge-order", "0,4;1,2,3", "--q", "3"],
+            "error: invalid literal for int() with base 10: '4;1'\n",
+        ),
     ],
-    ids=["builtin:nosuch", "c5k0"],
+    ids=["builtin:nosuch", "c5k0", "b-order p,w", "edge-order 0,4;1,2,3"],
 )
 def test_usage_errors_print_their_message_plainly(argv, err, capsys):
     assert cli.main(argv) == USAGE

@@ -450,7 +450,7 @@ def test_extension_check_matches_colon_min_gens():
 
 
 def test_search_tables_match_the_one_candidate_tables():
-    # The search's tables come from the divisor keys and the ``above`` masks,
+    # The search's tables come from the divisor keys and the ``_below`` masks,
     # the oracle's from one pass over E - E[c]: the units agree for every c,
     # and the oracle's wide colons are the rows other than c and its units,
     # which is why ``_extends`` needs no wide mask.
